@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench-guard cache-guard tier-guard exec-guard flight-guard cluster-guard rulecheck-guard bench-json bench-serve bench-tier bench-exec bench-cluster fuzz-smoke cover ci experiments clean
+.PHONY: all build vet test race bench-smoke bench-guard cache-guard tier-guard exec-guard flight-guard cluster-guard rulecheck-guard perfbench-test bench-json bench-serve bench-tier bench-exec bench-cluster fuzz-smoke cover ci experiments clean
 
 all: ci
 
@@ -116,6 +116,12 @@ cluster-guard:
 rulecheck-guard:
 	$(GO) test -run 'TestShippedRuleSetsVerified|TestMutationKillRate' -timeout 300s ./internal/rulecheck
 
+# The repository benchmark's own tests (tail and percentile rules, load
+# loops, self-time attribution, answer checks). perfbench/ is a nested
+# module, so `go test ./...` at the root does not reach it.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
+
 # Archive the repeat-workload plan-cache benchmark (cold vs warm ns/op,
 # full-hit speedup, hit rate, warm-start pruning, allocs) for diffing
 # across revisions.
@@ -170,7 +176,7 @@ cover:
 	$(GO) test -timeout 600s -coverprofile=cover.out ./...
 	@awk -v floor=$(COVER_FLOOR) -f scripts/cover.awk cover.out
 
-ci: vet build race bench-smoke cache-guard tier-guard exec-guard flight-guard cluster-guard rulecheck-guard fuzz-smoke cover
+ci: vet build race bench-smoke cache-guard tier-guard exec-guard flight-guard cluster-guard rulecheck-guard perfbench-test fuzz-smoke cover
 
 # Regenerate every paper table/figure (sequential, paper-faithful timing).
 experiments: build

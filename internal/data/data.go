@@ -26,68 +26,109 @@ const (
 	DSet // set of integers (set-valued attribute)
 )
 
-// Datum is one column value of a tuple.
+// Datum is one column value of a tuple. It is 24 bytes: ints and refs
+// live inline in I, and the rarer string and set payloads sit behind one
+// pointer, so copying a tuple's columns (which every join and pointer
+// chase does per output row) moves less than half the bytes a layout
+// with inline string and slice headers (56 bytes) would. Payloads are
+// built once, by StrD/SetD, and shared by every copy of the datum; they
+// are never mutated.
 type Datum struct {
 	Kind DatumKind
 	I    int64
-	S    string
-	Set  []int64
+	x    *ext
+}
+
+// ext is the out-of-line payload of a string or set datum.
+type ext struct {
+	s   string
+	set []int64
 }
 
 // IntD returns an integer datum.
 func IntD(v int64) Datum { return Datum{Kind: DInt, I: v} }
 
 // StrD returns a string datum.
-func StrD(v string) Datum { return Datum{Kind: DString, S: v} }
+func StrD(v string) Datum { return Datum{Kind: DString, x: &ext{s: v}} }
 
 // RefD returns a reference datum (row ordinal in the target class).
 func RefD(row int64) Datum { return Datum{Kind: DRef, I: row} }
 
 // SetD returns a set-valued datum.
-func SetD(vals ...int64) Datum { return Datum{Kind: DSet, Set: vals} }
+func SetD(vals ...int64) Datum { return Datum{Kind: DSet, x: &ext{set: vals}} }
+
+// Str returns a string datum's value ("" for other kinds).
+func (d Datum) Str() string {
+	if d.x == nil {
+		return ""
+	}
+	return d.x.s
+}
+
+// Ints returns a set datum's elements (nil for other kinds). The slice
+// is shared with every copy of the datum and must not be modified.
+func (d Datum) Ints() []int64 {
+	if d.x == nil {
+		return nil
+	}
+	return d.x.set
+}
+
+// numeric reports whether the datum compares by I (ints and refs, which
+// compare by value across the two kinds: a join on a ref attribute
+// compares ordinals with ids).
+func (d Datum) numeric() bool { return d.Kind == DInt || d.Kind == DRef }
 
 // Equal compares two data.
 func (d Datum) Equal(o Datum) bool {
+	if d.numeric() && o.numeric() {
+		return d.I == o.I
+	}
 	if d.Kind != o.Kind {
-		// Ints and refs compare by value across kinds (a join on a ref
-		// attribute compares ordinals).
-		if (d.Kind == DInt || d.Kind == DRef) && (o.Kind == DInt || o.Kind == DRef) {
-			return d.I == o.I
-		}
 		return false
 	}
-	switch d.Kind {
-	case DInt, DRef:
-		return d.I == o.I
-	case DString:
-		return d.S == o.S
-	default:
-		if len(d.Set) != len(o.Set) {
+	if d.Kind == DString {
+		return d.Str() == o.Str()
+	}
+	a, b := d.Ints(), o.Ints()
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
 			return false
 		}
-		for i := range d.Set {
-			if d.Set[i] != o.Set[i] {
-				return false
-			}
-		}
-		return true
 	}
+	return true
 }
 
-// Less orders two data (ints before strings; sets are unordered and
-// compare by first element for determinism).
+// Less orders two data consistently with Equal: ints and refs by value
+// (across the two kinds, as Equal compares them), numbers before
+// strings before sets, and sets — which are unordered — by first element
+// for determinism.
 func (d Datum) Less(o Datum) bool {
-	if d.Kind != o.Kind {
-		return d.Kind < o.Kind
+	if d.numeric() && o.numeric() {
+		return d.I < o.I
 	}
+	if d.Kind != o.Kind {
+		return d.rank() < o.rank()
+	}
+	if d.Kind == DString {
+		return d.Str() < o.Str()
+	}
+	a, b := d.Ints(), o.Ints()
+	return len(a) > 0 && len(b) > 0 && a[0] < b[0]
+}
+
+// rank orders kinds for Less; ints and refs share a rank.
+func (d Datum) rank() int {
 	switch d.Kind {
 	case DInt, DRef:
-		return d.I < o.I
+		return 0
 	case DString:
-		return d.S < o.S
-	default:
-		return len(d.Set) > 0 && len(o.Set) > 0 && d.Set[0] < o.Set[0]
+		return 1
 	}
+	return 2
 }
 
 // Hash returns a hash consistent with Equal.
@@ -104,12 +145,13 @@ func (d Datum) Hash() uint64 {
 	case DInt, DRef:
 		mix(uint64(d.I))
 	case DString:
-		for i := 0; i < len(d.S); i++ {
-			h ^= uint64(d.S[i])
+		str := d.Str()
+		for i := 0; i < len(str); i++ {
+			h ^= uint64(str[i])
 			h *= 1099511628211
 		}
 	default:
-		for _, v := range d.Set {
+		for _, v := range d.Ints() {
 			mix(uint64(v))
 		}
 	}
@@ -124,9 +166,9 @@ func (d Datum) String() string {
 	case DRef:
 		return fmt.Sprintf("@%d", d.I)
 	case DString:
-		return d.S
+		return d.Str()
 	default:
-		return fmt.Sprintf("%v", d.Set)
+		return fmt.Sprintf("%v", d.Ints())
 	}
 }
 
@@ -162,9 +204,9 @@ func (d Datum) CompareToValue(v core.Value) (int, bool) {
 			return 0, false
 		}
 		switch {
-		case d.S < string(x):
+		case d.Str() < string(x):
 			return -1, true
-		case d.S > string(x):
+		case d.Str() > string(x):
 			return 1, true
 		}
 		return 0, true

@@ -3,6 +3,7 @@ package data
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"prairie/internal/catalog"
 	"prairie/internal/core"
@@ -104,6 +105,56 @@ func TestDatumSetOrdering(t *testing.T) {
 	}
 }
 
+// TestDatumLessAgreesWithEqual: two data that are Equal must tie under
+// Less, and Less must be antisymmetric, or sort-based operators (merge
+// join) disagree with hash-based ones. Ints and refs are Equal by value
+// across the two kinds, so Less orders them by value too. For scalars
+// the converse holds as well: a tie means Equal (sets tie on their
+// first element only; see TestDatumSetOrdering).
+func TestDatumLessAgreesWithEqual(t *testing.T) {
+	vals := []Datum{
+		IntD(-1), IntD(0), IntD(3), IntD(7), RefD(0), RefD(3), RefD(9),
+		StrD(""), StrD("a"), StrD("b"), SetD(), SetD(1), SetD(1), SetD(2, 0),
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			tie := !a.Less(b) && !b.Less(a)
+			if a.Less(b) && b.Less(a) {
+				t.Errorf("%v and %v are each Less than the other", a, b)
+			}
+			if a.Equal(b) && !tie {
+				t.Errorf("%v Equal %v but Less orders them", a, b)
+			}
+			if tie && !a.Equal(b) && a.Kind != DSet {
+				t.Errorf("%v and %v tie under Less but are not Equal", a, b)
+			}
+		}
+	}
+	if err := quick.Check(func(x, y int64) bool {
+		return IntD(x).Less(RefD(y)) == (x < y) && RefD(x).Less(IntD(y)) == (x < y)
+	}, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestDatumLayout pins the 24-byte datum: tuple copies move every column,
+// so the datum's width is the executor's per-row copy cost. String and
+// set payloads live behind the accessors.
+func TestDatumLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(Datum{}); sz > 24 {
+		t.Errorf("sizeof(Datum) = %d bytes, want at most 24", sz)
+	}
+	if StrD("x").Str() != "x" || IntD(1).Str() != "" {
+		t.Error("Str accessor")
+	}
+	if got := SetD(4, 5).Ints(); len(got) != 2 || got[0] != 4 || got[1] != 5 {
+		t.Errorf("Ints accessor: %v", got)
+	}
+	if StrD("x").Ints() != nil || IntD(1).Ints() != nil {
+		t.Error("Ints of a non-set datum must be nil")
+	}
+}
+
 // TestDatumHashEdgeCases: Hash must stay consistent with Equal on the
 // corners — int/ref cross-kind equality, positional set equality, and
 // empty values hashing without panicking.
@@ -202,7 +253,7 @@ func TestPopulate(t *testing.T) {
 			if row[refCol].Kind != DRef || row[refCol].I >= 64 {
 				t.Errorf("%s row %d ref out of range: %v", name, i, row[refCol])
 			}
-			if row[tagsCol].Kind != DSet || len(row[tagsCol].Set) != 4 {
+			if row[tagsCol].Kind != DSet || len(row[tagsCol].Ints()) != 4 {
 				t.Errorf("%s row %d tags = %v", name, i, row[tagsCol])
 			}
 		}

@@ -285,9 +285,10 @@ type matIter struct {
 	refCol int
 	idCol  int
 	out    data.Schema
-	// byID hashes target ids to candidate row ordinals, replacing the
-	// per-tuple O(n) fallback scan with a one-time build; slices keep
-	// scan order so the first Equal row still wins.
+	// byID hashes target ids to candidate row ordinals for pointers the
+	// ordinal fast path misses; slices keep scan order so the first Equal
+	// row still wins. It is built on the first miss, not in Open: stored
+	// objects have id == ordinal, so most chases never need it.
 	byID map[uint64][]int
 }
 
@@ -323,11 +324,7 @@ func (m *matIter) Open() error {
 	if !ok {
 		return fmt.Errorf("exec: target class %s has no id attribute", m.target.Class.Name)
 	}
-	m.byID = make(map[uint64][]int, len(m.target.Rows))
-	for i, row := range m.target.Rows {
-		h := row[m.idCol].Hash()
-		m.byID[h] = append(m.byID[h], i)
-	}
+	m.byID = nil
 	m.out = m.in.Schema().Concat(m.target.Schema)
 	return nil
 }
@@ -340,16 +337,30 @@ func (m *matIter) Next() (data.Tuple, bool, error) {
 		}
 		ptr := t[m.refCol]
 		// Objects are stored with id == row ordinal; fall back to the
-		// id hash if the ordinal is out of range (scaled-down tables).
-		if int(ptr.I) < len(m.target.Rows) && ptr.I >= 0 && m.target.Rows[ptr.I][m.idCol].Equal(data.IntD(ptr.I)) {
-			return append(append(data.Tuple{}, t...), m.target.Rows[ptr.I]...), true, nil
+		// id hash when the row at that ordinal is some other object
+		// (reordered rows) or the ordinal is out of range (dangling or
+		// scaled-down references).
+		if ptr.I >= 0 && ptr.I < int64(len(m.target.Rows)) && m.target.Rows[ptr.I][m.idCol].Equal(ptr) {
+			return concatTuple(t, m.target.Rows[ptr.I]), true, nil
+		}
+		if m.byID == nil {
+			m.buildIDIndex()
 		}
 		for _, i := range m.byID[ptr.Hash()] {
 			if m.target.Rows[i][m.idCol].Equal(ptr) {
-				return append(append(data.Tuple{}, t...), m.target.Rows[i]...), true, nil
+				return concatTuple(t, m.target.Rows[i]), true, nil
 			}
 		}
 		// Dangling pointer: drop the tuple (inner-join semantics).
+	}
+}
+
+// buildIDIndex hashes every target row's id to its ordinal.
+func (m *matIter) buildIDIndex() {
+	m.byID = make(map[uint64][]int, len(m.target.Rows))
+	for i, row := range m.target.Rows {
+		h := row[m.idCol].Hash()
+		m.byID[h] = append(m.byID[h], i)
 	}
 }
 

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -132,42 +133,54 @@ func TestJoinAlgorithmsAgree(t *testing.T) {
 	tp := newTinyProps()
 	ops := planAlgebra()
 	c := NewCompiler(db, tp.p)
-	pred := core.EqAttr(core.A("C1", "a"), core.A("C2", "a"))
 	scan := func(file string) *core.Expr {
 		return core.NewNode(ops["File_scan"], tp.desc(nil), core.NewLeaf(file, tp.desc(nil)))
 	}
-	sorted := func(file string, by core.Attr) *core.Expr {
+	sorted := func(by core.Attr) *core.Expr {
 		return core.NewNode(ops["Merge_sort"],
 			tp.desc(func(d *core.Descriptor) { d.Set(tp.ord, core.OrderBy(by)) }),
-			scan(file))
+			scan(by.Rel))
 	}
-	jd := func() *core.Descriptor {
-		return tp.desc(func(d *core.Descriptor) { d.Set(tp.p.JP, pred) })
-	}
-	plans := map[string]*core.Expr{
-		"nl":    core.NewNode(ops["Nested_loops"], jd(), scan("C1"), scan("C2")),
-		"hash":  core.NewNode(ops["Hash_join"], jd(), scan("C1"), scan("C2")),
-		"merge": core.NewNode(ops["Merge_join"], jd(), sorted("C1", core.A("C1", "a")), sorted("C2", core.A("C2", "a"))),
-		"nlrev": core.NewNode(ops["Nested_loops"], jd(), scan("C2"), scan("C1")),
-	}
-	var results []*Result
-	for name, plan := range plans {
-		it, err := c.Compile(plan)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	// The second input joins a pointer with an object id: its keys are of
+	// different kinds (ref and int) that Equal compares by value, so the
+	// merge join's Less-driven alignment must order them by value too.
+	for _, keys := range [][2]core.Attr{
+		{core.A("C1", "a"), core.A("C2", "a")},
+		{core.A("C1", "ref"), core.A("S1", "id")},
+	} {
+		lk, rk := keys[0], keys[1]
+		pred := core.EqAttr(lk, rk)
+		jd := func() *core.Descriptor {
+			return tp.desc(func(d *core.Descriptor) { d.Set(tp.p.JP, pred) })
 		}
-		res, err := Run(it)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		plans := map[string]*core.Expr{
+			"nl":    core.NewNode(ops["Nested_loops"], jd(), scan(lk.Rel), scan(rk.Rel)),
+			"hash":  core.NewNode(ops["Hash_join"], jd(), scan(lk.Rel), scan(rk.Rel)),
+			"merge": core.NewNode(ops["Merge_join"], jd(), sorted(lk), sorted(rk)),
+			"nlrev": core.NewNode(ops["Nested_loops"], jd(), scan(rk.Rel), scan(lk.Rel)),
 		}
-		if len(res.Rows) == 0 {
-			t.Fatalf("%s: empty join result (bad workload)", name)
+		var names []string
+		var results []*Result
+		for name, plan := range plans {
+			it, err := c.Compile(plan)
+			if err != nil {
+				t.Fatalf("%v %s: %v", pred, name, err)
+			}
+			res, err := Run(it)
+			if err != nil {
+				t.Fatalf("%v %s: %v", pred, name, err)
+			}
+			if len(res.Rows) == 0 {
+				t.Fatalf("%v %s: empty join result (bad workload)", pred, name)
+			}
+			names = append(names, name)
+			results = append(results, res)
 		}
-		results = append(results, res)
-	}
-	for i := 1; i < len(results); i++ {
-		if !SameBag(results[0], results[i]) {
-			t.Errorf("join algorithm %d disagrees with 0", i)
+		for i := 1; i < len(results); i++ {
+			if !SameBag(results[0], results[i]) {
+				t.Errorf("%v: %s (%d rows) disagrees with %s (%d rows)", pred,
+					names[i], len(results[i].Rows), names[0], len(results[0].Rows))
+			}
 		}
 	}
 }
@@ -273,6 +286,115 @@ func TestMaterializeAndFlatten(t *testing.T) {
 		if row[tagCol].Kind != data.DInt {
 			t.Fatal("flatten left a set value")
 		}
+	}
+}
+
+// TestMaterializeIDIndexFallback reaches the pointer chase's id-hash
+// fallback, which stored data never needs (Populate stores every object
+// at the ordinal equal to its id). Shuffling the target table separates
+// ids from ordinals, and one pointer past the end of the target is
+// dangling; the executor must still agree with the naive oracle, which
+// scans for the matching id.
+func TestMaterializeIDIndexFallback(t *testing.T) {
+	db, _ := testDB()
+	tp := newTinyProps()
+	ops := planAlgebra()
+	naive := &Naive{DB: db, P: tp.p}
+	ma := func() *core.Descriptor {
+		return tp.desc(func(d *core.Descriptor) { d.Set(tp.p.MA, core.Attrs{core.A("C1", "ref")}) })
+	}
+	plan := core.NewNode(ops["Materialize"], ma(),
+		core.NewNode(ops["File_scan"], tp.desc(nil), core.NewLeaf("C1", tp.desc(nil))))
+	tree := core.NewNode(&core.Operation{Name: "MAT", Kind: core.Operator, Arity: 1}, ma(),
+		core.NewNode(&core.Operation{Name: "RET", Kind: core.Operator, Arity: 1},
+			tp.desc(nil), core.NewLeaf("C1", tp.desc(nil))))
+	run := func() (*Result, *matIter) {
+		t.Helper()
+		it, err := NewCompiler(db, tp.p).Compile(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, it.(*matIter)
+	}
+
+	// Stored order: every chase takes the ordinal fast path, so the id
+	// index is never built.
+	if _, m := run(); m.byID != nil {
+		t.Error("id index built although every pointer hit its ordinal")
+	}
+
+	target, src := db.MustTable("S1"), db.MustTable("C1")
+	rand.New(rand.NewSource(5)).Shuffle(len(target.Rows), func(i, j int) {
+		target.Rows[i], target.Rows[j] = target.Rows[j], target.Rows[i]
+	})
+	idCol, _ := target.Schema.Col(core.A("S1", "id"))
+	moved := 0
+	for i, row := range target.Rows {
+		if row[idCol].I != int64(i) {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("shuffle left every id at its ordinal")
+	}
+	refCol, _ := src.Schema.Col(core.A("C1", "ref"))
+	src.Rows[0][refCol] = data.RefD(int64(len(target.Rows)) + 3)
+
+	want, err := naive.Eval(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, m := run()
+	if m.byID == nil {
+		t.Error("id index not built although ids and ordinals disagree")
+	}
+	if len(want.Rows) != len(src.Rows)-1 {
+		t.Errorf("naive kept %d of %d rows; want the dangling pointer dropped", len(want.Rows), len(src.Rows))
+	}
+	if onlyGot, onlyWant := DiffBags(got, want); len(onlyGot)+len(onlyWant) > 0 {
+		t.Errorf("materialize disagrees with naive: %d extra, %d missing rows", len(onlyGot), len(onlyWant))
+	}
+}
+
+// TestHashJoinAllocsPerOutputRow locks in the executor's allocation
+// budget: each output row costs one exact-width allocation, and
+// everything else (compiling, scan buffers, the bucket table, the result
+// slice) is bounded by a constant independent of the output size.
+func TestHashJoinAllocsPerOutputRow(t *testing.T) {
+	db, _ := testDB()
+	tp := newTinyProps()
+	ops := planAlgebra()
+	c := NewCompiler(db, tp.p)
+	scan := func(file string) *core.Expr {
+		return core.NewNode(ops["File_scan"], tp.desc(nil), core.NewLeaf(file, tp.desc(nil)))
+	}
+	plan := core.NewNode(ops["Hash_join"],
+		tp.desc(func(d *core.Descriptor) { d.Set(tp.p.JP, core.EqAttr(core.A("C2", "b"), core.A("C3", "b"))) }),
+		scan("C2"), scan("C3"))
+	rows := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		it, err := c.Compile(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = len(res.Rows)
+	})
+	// The constant is dominated by the build side's bucket slices
+	// (16 keys over 64 rows) and the result slice's doublings.
+	const slack = 128
+	if rows < 2*slack {
+		t.Fatalf("join produced %d rows; too few to tell per-row cost from the constant", rows)
+	}
+	if allocs > float64(rows+slack) {
+		t.Errorf("hash join: %.0f allocs for %d output rows; want at most rows+%d", allocs, rows, slack)
 	}
 }
 

@@ -8,7 +8,7 @@ package exec
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"prairie/internal/core"
 	"prairie/internal/data"
@@ -114,11 +114,15 @@ func (s *scanIter) Open() error {
 	candidates := s.tab.Rows
 	if s.byIndex != (core.Attr{}) {
 		if eq, ok := indexEqTerm(s.sel, s.byIndex); ok && s.tab.HasIndex(s.byIndex.Name) {
-			candidates = nil
-			for _, r := range s.tab.Index(s.byIndex.Name, eq) {
-				candidates = append(candidates, s.tab.Rows[r])
+			ords := s.tab.Index(s.byIndex.Name, eq)
+			candidates = make([]data.Tuple, len(ords))
+			for i, r := range ords {
+				candidates[i] = s.tab.Rows[r]
 			}
 		}
+	}
+	if cap(s.rows) < len(candidates) {
+		s.rows = make([]data.Tuple, 0, len(candidates))
 	}
 	for _, row := range candidates {
 		ok, err := EvalPred(s.sel, s.tab.Schema, row)
@@ -134,7 +138,8 @@ func (s *scanIter) Open() error {
 		if !ok {
 			return fmt.Errorf("exec: index attribute %v not in %s", s.byIndex, s.tab.Class.Name)
 		}
-		sort.SliceStable(s.rows, func(i, j int) bool { return s.rows[i][col].Less(s.rows[j][col]) })
+		by := []int{col}
+		slices.SortStableFunc(s.rows, func(a, b data.Tuple) int { return compareOn(a, b, by) })
 	}
 	return nil
 }
@@ -300,18 +305,21 @@ func (s *sortIter) Open() error {
 	if err := s.in.Close(); err != nil {
 		return err
 	}
-	sort.SliceStable(s.rows, func(i, j int) bool {
-		for _, c := range cols {
-			if s.rows[i][c].Less(s.rows[j][c]) {
-				return true
-			}
-			if s.rows[j][c].Less(s.rows[i][c]) {
-				return false
-			}
-		}
-		return false
-	})
+	slices.SortStableFunc(s.rows, func(a, b data.Tuple) int { return compareOn(a, b, cols) })
 	return nil
+}
+
+// compareOn orders two tuples lexicographically on the given columns.
+func compareOn(a, b data.Tuple, cols []int) int {
+	for _, c := range cols {
+		if a[c].Less(b[c]) {
+			return -1
+		}
+		if b[c].Less(a[c]) {
+			return 1
+		}
+	}
+	return 0
 }
 
 func (s *sortIter) Next() (data.Tuple, bool, error) {
@@ -362,10 +370,10 @@ func (u *unnestIter) Open() error {
 
 func (u *unnestIter) Next() (data.Tuple, bool, error) {
 	for {
-		if u.current != nil && u.idx < len(u.current[u.col].Set) {
+		if u.current != nil && u.idx < len(u.current[u.col].Ints()) {
 			out := make(data.Tuple, len(u.current))
 			copy(out, u.current)
-			out[u.col] = data.IntD(u.current[u.col].Set[u.idx])
+			out[u.col] = data.IntD(u.current[u.col].Ints()[u.idx])
 			u.idx++
 			return out, true, nil
 		}

@@ -28,6 +28,16 @@ func closeTwo(l Iterator, lOpen *bool, r Iterator, rOpen *bool) error {
 	return err
 }
 
+// concatTuple returns l followed by r in one exact-width allocation: the
+// output row of every join and pointer chase is built here, so this is
+// the executor's dominant allocation site.
+func concatTuple(l, r data.Tuple) data.Tuple {
+	out := make(data.Tuple, len(l)+len(r))
+	copy(out, l)
+	copy(out[len(l):], r)
+	return out
+}
+
 // nlJoinIter is the nested-loops join: for each outer tuple, scan the
 // (materialized) inner input.
 type nlJoinIter struct {
@@ -93,7 +103,7 @@ func (j *nlJoinIter) Next() (data.Tuple, bool, error) {
 		for j.pos < len(j.inner) {
 			inner := j.inner[j.pos]
 			j.pos++
-			joined := append(append(data.Tuple{}, j.cur...), inner...)
+			joined := concatTuple(j.cur, inner)
 			ok, err := EvalPred(j.pred, j.out, joined)
 			if err != nil {
 				return nil, false, err
@@ -194,7 +204,7 @@ func (j *hashJoinIter) Next() (data.Tuple, bool, error) {
 			if !j.cur[j.lCol].Equal(inner[j.rCol]) {
 				continue // hash collision
 			}
-			joined := append(append(data.Tuple{}, j.cur...), inner...)
+			joined := concatTuple(j.cur, inner)
 			ok, err := EvalPred(j.pred, j.out, joined)
 			if err != nil {
 				return nil, false, err
@@ -330,7 +340,7 @@ func (j *mergeJoinIter) Next() (data.Tuple, bool, error) {
 			if j.gi < len(j.group) {
 				rt := j.group[j.gi]
 				j.gi++
-				joined := append(append(data.Tuple{}, j.lt...), rt...)
+				joined := concatTuple(j.lt, rt)
 				ok, err := EvalPred(j.pred, j.out, joined)
 				if err != nil {
 					return nil, false, err

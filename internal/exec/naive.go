@@ -189,7 +189,7 @@ func (n *Naive) unnest(in *Result, attrs core.Attrs) (*Result, error) {
 		if t[col].Kind != data.DSet {
 			return nil, fmt.Errorf("exec: UNNEST of non-set column")
 		}
-		for _, v := range t[col].Set {
+		for _, v := range t[col].Ints() {
 			row := append(data.Tuple{}, t...)
 			row[col] = data.IntD(v)
 			out.Rows = append(out.Rows, row)
