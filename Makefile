@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench-guard cache-guard tier-guard exec-guard flight-guard cluster-guard rulecheck-guard perfbench-test bench-json bench-serve bench-tier bench-exec bench-cluster fuzz-smoke cover ci experiments clean
+.PHONY: all build vet test race bench-smoke bench-guard cache-guard tier-guard flight-guard cluster-guard rulecheck-guard perfbench-test bench-json bench-serve bench-tier bench-exec bench-cluster fuzz-smoke cover ci experiments clean
 
 all: ci
 
@@ -38,25 +38,28 @@ bench-smoke:
 GUARD_PCT ?= 2
 BENCH_COUNT ?= 5
 
+# guard runs the timing half of a neutrality guard for the target that
+# calls it: $(1) is the benchmark regex, $(2) the benchtime, $(3) the
+# package.
+define guard
+@rm -f /tmp/$@.txt
+@for i in $$(seq $(BENCH_COUNT)); do \
+	$(GO) test -run 'XXX' -bench '$(1)' -benchtime $(2) $(3) | tee -a /tmp/$@.txt || exit 1; \
+done
+@awk -v pct=$(GUARD_PCT) -v guard=$@ -f scripts/guard.awk /tmp/$@.txt
+endef
+
 # Observability overhead guard: instrumentation with every sink disabled
 # must be indistinguishable from no instrumentation at all.
 bench-guard:
-	@rm -f /tmp/obsguard.txt
-	@for i in $$(seq $(BENCH_COUNT)); do \
-		$(GO) test -run 'XXX' -bench 'ObsGuard' -benchtime 200x . | tee -a /tmp/obsguard.txt || exit 1; \
-	done
-	@awk -v pct=$(GUARD_PCT) -v guard=bench-guard -f scripts/guard.awk /tmp/obsguard.txt
+	$(call guard,ObsGuard,200x,.)
 
 # Plan-cache neutrality guard: a zero-capacity cache handle must be
 # indistinguishable from no cache (one Enabled() branch per optimize),
 # and the concurrent cache layers must be race-clean.
 cache-guard:
 	$(GO) test -race -timeout 300s ./internal/plancache ./internal/volcano
-	@rm -f /tmp/cacheguard.txt
-	@for i in $$(seq $(BENCH_COUNT)); do \
-		$(GO) test -run 'XXX' -bench 'CacheGuard' -benchtime 100x . | tee -a /tmp/cacheguard.txt || exit 1; \
-	done
-	@awk -v pct=$(GUARD_PCT) -v guard=cache-guard -f scripts/guard.awk /tmp/cacheguard.txt
+	$(call guard,CacheGuard,100x,.)
 
 # Tiered-planner neutrality guard: an attached-but-unused router with
 # the tier left at the default (full) must be byte- and cost-identical
@@ -64,23 +67,7 @@ cache-guard:
 # the TierGuard benchmark checks the cost.
 tier-guard:
 	$(GO) test -run 'TestTierNeutral' -timeout 120s ./internal/volcano
-	@rm -f /tmp/tierguard.txt
-	@for i in $$(seq $(BENCH_COUNT)); do \
-		$(GO) test -run 'XXX' -bench 'TierGuard' -benchtime 100x . | tee -a /tmp/tierguard.txt || exit 1; \
-	done
-	@awk -v pct=$(GUARD_PCT) -v guard=tier-guard -f scripts/guard.awk /tmp/tierguard.txt
-
-# Executor neutrality guard: the Workers: 1 engine must compile the
-# exact same iterator tree as the zero-options engine (no pool, no
-# wrappers) and cost the same to run; the parallel machinery is also
-# exercised under the race detector here.
-exec-guard:
-	$(GO) test -race -timeout 300s ./internal/exec
-	@rm -f /tmp/execguard.txt
-	@for i in $$(seq $(BENCH_COUNT)); do \
-		$(GO) test -run 'XXX' -bench 'ExecGuard' -benchtime 50x . | tee -a /tmp/execguard.txt || exit 1; \
-	done
-	@awk -v pct=$(GUARD_PCT) -v guard=exec-guard -f scripts/guard.awk /tmp/execguard.txt
+	$(call guard,TierGuard,100x,.)
 
 # Flight-recorder neutrality guard: a disabled recorder handle on the
 # serving path must be indistinguishable from no recorder at all —
@@ -89,11 +76,7 @@ exec-guard:
 # under the race detector via the server package's flight tests.
 flight-guard:
 	$(GO) test -race -run 'TestFlight' -timeout 300s ./internal/server
-	@rm -f /tmp/flightguard.txt
-	@for i in $$(seq $(BENCH_COUNT)); do \
-		$(GO) test -run 'XXX' -bench 'FlightGuard' -benchtime 50x ./internal/server | tee -a /tmp/flightguard.txt || exit 1; \
-	done
-	@awk -v pct=$(GUARD_PCT) -v guard=flight-guard -f scripts/guard.awk /tmp/flightguard.txt
+	$(call guard,FlightGuard,50x,./internal/server)
 
 # Cluster neutrality guard: a server with no peers must answer
 # byte-identically to one with no cluster layer at all (TestClusterNeutral
@@ -103,11 +86,7 @@ flight-guard:
 # the race detector first.
 cluster-guard:
 	$(GO) test -race -run 'TestCluster' -timeout 300s ./internal/server ./internal/cluster
-	@rm -f /tmp/clusterguard.txt
-	@for i in $$(seq $(BENCH_COUNT)); do \
-		$(GO) test -run 'XXX' -bench 'ClusterGuard' -benchtime 30x ./internal/server | tee -a /tmp/clusterguard.txt || exit 1; \
-	done
-	@awk -v pct=$(GUARD_PCT) -v guard=cluster-guard -f scripts/guard.awk /tmp/clusterguard.txt
+	$(call guard,ClusterGuard,30x,./internal/server)
 
 # Rule-correctness guard: the per-rule differential verifier must give
 # every trans_rule of every shipped rule set a "verified" verdict (or an
@@ -141,8 +120,8 @@ bench-tier: build
 	$(GO) run ./cmd/optbench -experiment tier -json > BENCH_tier.json
 	@echo "bench-tier: wrote BENCH_tier.json"
 
-# Archive the executor benchmark (naive vs serial vs parallel engines,
-# hash pre-sizing ablation, bag-verified) for diffing across revisions.
+# Archive the executor benchmark (naive evaluator vs serial engine,
+# bag-verified) for diffing across revisions.
 bench-exec: build
 	$(GO) run ./cmd/optbench -experiment exec -json > BENCH_exec.json
 	@echo "bench-exec: wrote BENCH_exec.json"
@@ -176,7 +155,7 @@ cover:
 	$(GO) test -timeout 600s -coverprofile=cover.out ./...
 	@awk -v floor=$(COVER_FLOOR) -f scripts/cover.awk cover.out
 
-ci: vet build race bench-smoke cache-guard tier-guard exec-guard flight-guard cluster-guard rulecheck-guard perfbench-test fuzz-smoke cover
+ci: vet build race bench-smoke cache-guard tier-guard flight-guard cluster-guard rulecheck-guard perfbench-test fuzz-smoke cover
 
 # Regenerate every paper table/figure (sequential, paper-faithful timing).
 experiments: build

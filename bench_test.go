@@ -15,8 +15,6 @@ import (
 
 	"prairie/internal/catalog"
 	"prairie/internal/core"
-	"prairie/internal/data"
-	"prairie/internal/exec"
 	"prairie/internal/obs"
 	"prairie/internal/oodb"
 	"prairie/internal/p2v"
@@ -248,80 +246,6 @@ func BenchmarkCacheGuard(b *testing.B) {
 		b.Run(wl.name+"/off", func(b *testing.B) { benchOptimizeCache(b, w, nil) })
 		b.Run(wl.name+"/disabled", func(b *testing.B) { benchOptimizeCache(b, w, volcano.NewPlanCache(0)) })
 		b.Run(wl.name+"/on", func(b *testing.B) { benchOptimizeCache(b, w, volcano.NewPlanCache(512)) })
-	}
-}
-
-// execWorld is one executor-guard workload point: an optimized access
-// plan plus the populated database it runs over.
-type execWorld struct {
-	pe    *core.Expr
-	db    *data.DB
-	props exec.Props
-}
-
-func prepExec(b *testing.B, e qgen.ExprKind, n, rows int) *execWorld {
-	b.Helper()
-	cat := qgen.Catalog(n, 101, false)
-	vo := oodb.New(cat)
-	tree, err := qgen.Build(vo, e, n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt := volcano.NewOptimizer(vo.VolcanoRules())
-	plan, err := opt.Optimize(tree.Clone(), core.NewDescriptor(vo.Alg.Props))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return &execWorld{
-		pe:    plan.ToExpr(),
-		db:    data.Populate(cat, 101, rows),
-		props: exec.Props{Ord: vo.Ord, JP: vo.JP, SP: vo.SP, PA: vo.PA, MA: vo.MA, UA: vo.UA},
-	}
-}
-
-// benchExec compiles and fully drains the plan once per iteration under
-// the given engine options.
-func benchExec(b *testing.B, w *execWorld, eo exec.ExecOptions) {
-	b.Helper()
-	b.ReportAllocs()
-	comp := exec.NewCompiler(w.db, w.props)
-	comp.Opts = eo
-	var rows int
-	for i := 0; i < b.N; i++ {
-		it, err := comp.Compile(w.pe)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := exec.Run(it)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows = len(res.Rows)
-	}
-	b.ReportMetric(float64(rows), "rows")
-}
-
-// BenchmarkExecGuard backs `make exec-guard`: the same plans executed
-// with the parallel machinery absent ("off" — the zero ExecOptions),
-// configured but inert ("disabled" — Workers: 1 must compile the exact
-// same iterator tree as off, no pool, no wrappers), and enabled ("on" —
-// Workers: 4, reported informationally). The guard target fails the
-// build if disabled drifts more than ~2% from off. Workloads are the
-// larger executor points (milliseconds per op) so the 2% bar clears
-// scheduler noise.
-func BenchmarkExecGuard(b *testing.B) {
-	for _, wl := range []struct {
-		name string
-		e    qgen.ExprKind
-		n    int
-	}{
-		{"e1n6", qgen.E1, 6},
-		{"e2n3", qgen.E2, 3},
-	} {
-		w := prepExec(b, wl.e, wl.n, 4096)
-		b.Run(wl.name+"/off", func(b *testing.B) { benchExec(b, w, exec.ExecOptions{}) })
-		b.Run(wl.name+"/disabled", func(b *testing.B) { benchExec(b, w, exec.ExecOptions{Workers: 1}) })
-		b.Run(wl.name+"/on", func(b *testing.B) { benchExec(b, w, exec.ExecOptions{Workers: 4}) })
 	}
 }
 

@@ -222,9 +222,8 @@ func TestPlanCacheEquivalence(t *testing.T) {
 
 // TestPlanCacheHitPlansExecute: byte-identical plan text is necessary
 // but not sufficient — for the executable OODB worlds, the plan served
-// from a cache hit is compiled and run on synthetic data, on both the
-// serial and the parallel engine, and bag-compared against the naive
-// evaluation of the logical query.
+// from a cache hit is compiled and run on synthetic data and
+// bag-compared against the naive evaluation of the logical query.
 func TestPlanCacheHitPlansExecute(t *testing.T) {
 	seed := qgen.InstanceSeeds()[0]
 	for _, fam := range []struct {
@@ -251,22 +250,17 @@ func TestPlanCacheHitPlansExecute(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pe := hitPlan.ToExpr()
-			for _, workers := range []int{1, 4} {
-				comp := exec.NewCompiler(db, props)
-				comp.Opts = exec.ExecOptions{Workers: workers}
-				it, err := comp.Compile(pe)
-				if err != nil {
-					t.Fatalf("workers=%d: compile: %v", workers, err)
-				}
-				got, err := exec.Run(it)
-				if err != nil {
-					t.Fatalf("workers=%d: execute: %v", workers, err)
-				}
-				if !exec.SameBag(got, want) {
-					t.Errorf("workers=%d: cache-hit plan disagrees with naive (%d vs %d rows)",
-						workers, len(got.Rows), len(want.Rows))
-				}
+			it, err := exec.NewCompiler(db, props).Compile(hitPlan.ToExpr())
+			if err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			got, err := exec.Run(it)
+			if err != nil {
+				t.Fatalf("execute: %v", err)
+			}
+			if !exec.SameBag(got, want) {
+				t.Errorf("cache-hit plan disagrees with naive (%d vs %d rows)",
+					len(got.Rows), len(want.Rows))
 			}
 		})
 	}

@@ -107,7 +107,7 @@ func joinOver(kind string, l, r Iterator) Iterator {
 	case "nl":
 		return &nlJoinIter{l: l, r: r, pred: mockJoinPred}
 	case "hash":
-		return &hashJoinIter{l: l, r: r, pred: mockJoinPred, preSize: true}
+		return &hashJoinIter{l: l, r: r, pred: mockJoinPred}
 	case "merge":
 		return &mergeJoinIter{l: l, r: r, pred: mockJoinPred}
 	}
@@ -169,7 +169,7 @@ func TestJoinPredicateErrorCloseDiscipline(t *testing.T) {
 				// residual conjunct instead.
 				pred := core.And(mockJoinPred, core.EqConst(core.A("C9", "zz"), core.Int(1)))
 				if kind == "hash" {
-					it = &hashJoinIter{l: l, r: r, pred: pred, preSize: true}
+					it = &hashJoinIter{l: l, r: r, pred: pred}
 				} else {
 					it = &mergeJoinIter{l: l, r: r, pred: pred}
 				}
@@ -399,7 +399,7 @@ func TestHashJoinCollisionAndMissingKey(t *testing.T) {
 	// Simulate a full collision: every build row lands in both keys'
 	// buckets, as if Hash() mapped 1 and 2 together. The Equal guard in
 	// Next must filter the aliens out and reproduce the clean result.
-	j := &hashJoinIter{l: leftMock(1, 2, 2), r: rightMock(1, 1, 2), pred: mockJoinPred, preSize: true}
+	j := &hashJoinIter{l: leftMock(1, 2, 2), r: rightMock(1, 1, 2), pred: mockJoinPred}
 	if err := j.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func TestHashJoinCollisionAndMissingKey(t *testing.T) {
 	// Missing right key: C2.a absent from the right schema.
 	l := leftMock(1, 2)
 	r := &mockIter{name: "right", schema: data.Schema{core.A("C2", "b")}, rows: intRows(1, 2)}
-	_, err = Run(&hashJoinIter{l: l, r: r, pred: mockJoinPred, preSize: true})
+	_, err = Run(&hashJoinIter{l: l, r: r, pred: mockJoinPred})
 	if err == nil || !strings.Contains(err.Error(), "not in right input") {
 		t.Errorf("missing right key: err = %v", err)
 	}

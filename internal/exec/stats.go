@@ -8,19 +8,16 @@ import (
 )
 
 // ExecStats collects per-operator runtime statistics for one plan
-// execution: rows in/out, batches handed over by background subtrees,
-// Open/Next wall time, and whether a subtree ran on a pool slot or
-// degraded to pass-through. Attach one via ExecOptions.Stats before
-// Compile; the compiler then wraps every operator in a thin counting
-// shim. With Stats nil — the default — the iterator tree is built
-// exactly as before, so unobserved executions stay byte-identical.
+// execution: rows in/out and Open/Next wall time. Attach one via
+// ExecOptions.Stats before Compile; the compiler then wraps every
+// operator in a thin counting shim. With Stats nil — the default — the
+// iterator tree is built without shims, so unobserved executions stay
+// byte-identical.
 //
 // An ExecStats is meant for one Compile+Run cycle (the flight recorder
 // allocates one per request); Report may be called once the plan's
-// iterator has been Closed. The collector is written to by whichever
-// goroutine runs each operator (background subtree runners included) —
-// the executor's channel handover orders those writes before Close
-// returns, so Report after Run is race-free.
+// iterator has been Closed. Execution is serial, so an operator's
+// Open+Next time includes the time of its inputs.
 type ExecStats struct {
 	ops []*statsIter
 }
@@ -44,10 +41,8 @@ func (st *ExecStats) Report() []obs.ExecOpStat {
 	out := make([]obs.ExecOpStat, len(st.ops))
 	for i, si := range st.ops {
 		out[i] = obs.ExecOpStat{
-			ID: si.id, Parent: si.parent, Op: si.op,
-			RowsOut: si.rows, Batches: si.batches,
+			ID: si.id, Parent: si.parent, Op: si.op, RowsOut: si.rows,
 			OpenUS: si.openNS / int64(time.Microsecond), NextUS: si.nextNS / int64(time.Microsecond),
-			Parallel: si.parallel,
 		}
 	}
 	for _, si := range st.ops {
@@ -76,13 +71,9 @@ type statsIter struct {
 	id     int
 	parent int
 
-	rows    int64
-	batches int64 // background channel handovers (set by parallelIter)
-	openNS  int64
-	nextNS  int64
-	// parallel is "" for serial operators; parallelIter stamps the
-	// subtree it wraps "background" or "pass-through" at Open.
-	parallel string
+	rows   int64
+	openNS int64
+	nextNS int64
 }
 
 func (s *statsIter) Schema() data.Schema { return s.in.Schema() }
@@ -107,11 +98,3 @@ func (s *statsIter) Next() (data.Tuple, bool, error) {
 }
 
 func (s *statsIter) Close() error { return s.in.Close() }
-
-// statsOf returns it's counting shim when stats collection wrapped it
-// (joinInputs uses this to hand the shim to parallelIter), nil
-// otherwise.
-func statsOf(it Iterator) *statsIter {
-	si, _ := it.(*statsIter)
-	return si
-}

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"time"
 
 	"prairie/internal/core"
@@ -22,34 +20,27 @@ type execWorkload struct {
 	n int
 }
 
-// ExecBench measures the executor rework (DESIGN.md §4.14): the naive
-// reference evaluator versus the serial engine, the parallel engine,
-// and the hash pre-sizing ablation, on optimized multi-join plans.
-// Every variant's result is bag-compared against the naive oracle
-// before its timing is reported — a wrong fast executor fails the
-// sweep instead of publishing a number.
+// ExecBench measures the executor (DESIGN.md §4.14): the naive
+// reference evaluator versus the serial iterator engine on optimized
+// multi-join plans. The engine's result is bag-compared against the
+// naive oracle before its timing is reported — a wrong fast executor
+// fails the sweep instead of publishing a number.
 func ExecBench(opts Options) (*Table, error) {
 	workloads := []execWorkload{
 		{qgen.E1, 4}, {qgen.E1, 6}, {qgen.E1, 8}, {qgen.E2, 3}, {qgen.E3, 3}, {qgen.E4, 3},
 	}
-	workers := opts.Workers
-	if workers <= 1 {
-		workers = 4
-	}
 	t := &Table{
-		Title: fmt.Sprintf("Executor: naive vs serial vs parallel (workers=%d), rows<=%d per class",
-			workers, opts.rows()),
-		Header: []string{"workload", "out_rows", "naive_ms", "serial_ms",
-			"parallel_ms", "no_presize_ms", "speedup"},
+		Title:  fmt.Sprintf("Executor: naive vs serial, rows<=%d per class", opts.rows()),
+		Header: []string{"workload", "out_rows", "naive_ms", "serial_ms"},
 		Notes: []string{
-			"every engine variant is bag-verified before timing: against the naive evaluator, or against the serial engine where the quadratic oracle is impractical (naive_ms '-')",
-			"speedup = serial_ms / parallel_ms; no_presize disables hash-table pre-sizing on the serial engine",
-			fmt.Sprintf("host parallelism: GOMAXPROCS=%d — speedups below that bound come from pipeline overlap, not core scaling", runtime.GOMAXPROCS(0)),
+			"the engine's result is bag-verified against the naive evaluator before timing",
+			"serial_ms is the best of the repeats, compile included; empty results time the early-termination path",
 		},
 	}
-	var speedupProd float64 = 1
-	var presizeSum float64
-	loaded := 0
+	reps := opts.Repeats
+	if reps <= 0 {
+		reps = 9
+	}
 	for _, wl := range workloads {
 		name := fmt.Sprintf("%v/n%d", wl.e, wl.n)
 		seed := opts.seeds()[0]
@@ -70,106 +61,37 @@ func ExecBench(opts Options) (*Table, error) {
 		props := exec.Props{Ord: vo.Ord, JP: vo.JP, SP: vo.SP, PA: vo.PA, MA: vo.MA, UA: vo.UA}
 
 		// Oracle: one naive evaluation, timed, is both the reference bag
-		// and the naive_ms column. The oracle's nested-loops joins are
-		// quadratic per join, so the deepest chains skip it (column "-")
-		// and verify the engine variants against each other instead —
-		// those plans are still oracle-checked at smaller scales by the
-		// equivalence suites.
-		var want *exec.Result
-		var naiveMS time.Duration
-		runNaive := wl.n <= 6
-		if runNaive {
-			nStart := time.Now()
-			want, err = (&exec.Naive{DB: db, P: props}).Eval(tree)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: naive %s: %w", name, err)
-			}
-			naiveMS = time.Since(nStart)
+		// and the naive_ms column.
+		nStart := time.Now()
+		want, err := (&exec.Naive{DB: db, P: props}).Eval(tree)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: naive %s: %w", name, err)
 		}
+		naiveMS := time.Since(nStart)
 
-		variants := []struct {
-			name string
-			eo   exec.ExecOptions
-		}{
-			{"serial", exec.ExecOptions{}},
-			{"parallel", exec.ExecOptions{Workers: workers}},
-			{"no_presize", exec.ExecOptions{DisablePreSize: true}},
-		}
-		times := make([]time.Duration, len(variants))
-		compilers := make([]*exec.Compiler, len(variants))
-		reps := opts.Repeats
-		if reps <= 0 {
-			reps = 9
-		}
-		for vi, v := range variants {
-			comp := exec.NewCompiler(db, props)
-			comp.Opts = v.eo
-			compilers[vi] = comp
+		comp := exec.NewCompiler(db, props)
+		var best time.Duration
+		for rep := 0; rep < reps; rep++ {
+			start := time.Now()
 			it, err := comp.Compile(pe)
 			if err != nil {
-				return nil, fmt.Errorf("experiments: compile %s/%s: %w", name, v.name, err)
+				return nil, fmt.Errorf("experiments: compile %s: %w", name, err)
 			}
 			got, err := exec.Run(it)
 			if err != nil {
-				return nil, fmt.Errorf("experiments: run %s/%s: %w", name, v.name, err)
+				return nil, fmt.Errorf("experiments: run %s: %w", name, err)
 			}
-			if want == nil {
-				want = got // oracle skipped: serial is the cross-check reference
-				continue
+			if d := time.Since(start); best == 0 || d < best {
+				best = d
 			}
-			if !exec.SameBag(got, want) {
-				return nil, fmt.Errorf("experiments: %s/%s disagrees with reference (%d vs %d rows)",
-					name, v.name, len(got.Rows), len(want.Rows))
+			if rep == 0 && !exec.SameBag(got, want) {
+				return nil, fmt.Errorf("experiments: %s disagrees with the naive oracle (%d vs %d rows)",
+					name, len(got.Rows), len(want.Rows))
 			}
-		}
-		// Timing: variants interleave within each round and the best
-		// round wins — the same interference-resistant protocol the
-		// Makefile guards use (scripts/guard.awk).
-		for rep := 0; rep < reps; rep++ {
-			for vi := range variants {
-				start := time.Now()
-				it, err := compilers[vi].Compile(pe)
-				if err != nil {
-					return nil, err
-				}
-				if _, err := exec.Run(it); err != nil {
-					return nil, err
-				}
-				if d := time.Since(start); times[vi] == 0 || d < times[vi] {
-					times[vi] = d
-				}
-			}
-		}
-		speedup := float64(times[0]) / float64(times[1])
-		presizePct := 100 * (float64(times[2]) - float64(times[0])) / float64(times[0])
-		if t.Extra == nil {
-			t.Extra = map[string]float64{}
-		}
-		t.Extra["speedup/"+name] = speedup
-		// Empty-result workloads showcase early termination (compare
-		// naive_ms against the engines), not parallelism: their
-		// sub-millisecond runs are all scheduling noise, so they stay
-		// out of the aggregates.
-		if len(want.Rows) > 0 {
-			speedupProd *= speedup
-			presizeSum += presizePct
-			loaded++
-		}
-		naiveCol := "-"
-		if runNaive {
-			naiveCol = durMS(naiveMS)
 		}
 		t.Rows = append(t.Rows, []string{
-			name, fmt.Sprintf("%d", len(want.Rows)),
-			naiveCol, durMS(times[0]), durMS(times[1]), durMS(times[2]),
-			fmt.Sprintf("%.2fx", speedup),
+			name, fmt.Sprintf("%d", len(want.Rows)), durMS(naiveMS), durMS(best),
 		})
 	}
-	if loaded > 0 {
-		t.Extra["speedup_geomean"] = math.Pow(speedupProd, 1/float64(loaded))
-		t.Extra["presize_off_overhead_pct"] = presizeSum / float64(loaded)
-	}
-	t.Notes = append(t.Notes,
-		"aggregates (speedup_geomean, presize overhead) cover non-empty workloads; empty ones time the early-termination path")
 	return t, nil
 }

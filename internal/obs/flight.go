@@ -150,22 +150,16 @@ type ExecOpStat struct {
 	Parent int    `json:"parent"` // -1 at the root
 	Op     string `json:"op"`
 	// RowsIn sums the children's outputs; RowsOut counts tuples this
-	// operator produced. Batches counts background channel handovers.
+	// operator produced. OpenUS+NextUS include the children's time.
 	RowsIn  int64 `json:"rows_in"`
 	RowsOut int64 `json:"rows_out"`
-	Batches int64 `json:"batches,omitempty"`
 	OpenUS  int64 `json:"open_us"`
 	NextUS  int64 `json:"next_us"`
-	// Parallel is "" for plain serial operators, "background" for a
-	// subtree that won a pool slot, "pass-through" for one that degraded
-	// to serial under slot contention.
-	Parallel string `json:"parallel,omitempty"`
 }
 
 // ExecInfo is the record's executor section.
 type ExecInfo struct {
 	Rows      int          `json:"rows"` // result cardinality
-	Workers   int          `json:"workers"`
 	ElapsedUS int64        `json:"elapsed_us"`
 	Ops       []ExecOpStat `json:"ops"`
 }

@@ -138,7 +138,7 @@ func TestFlightRecordJSON(t *testing.T) {
 	rec.SetCache("miss", 3, 1)
 	rec.SetTier(TierInfo{Requested: "auto", Served: "greedy", Routed: "refine", Class: "deadbeef"})
 	rec.SetSearch(SearchInfo{Groups: 7, Exprs: 21, Degraded: true, DegradeCause: "timeout"})
-	rec.SetExec(ExecInfo{Rows: 64, Workers: 2, Ops: []ExecOpStat{{ID: 0, Parent: -1, Op: "Hash_join", RowsOut: 64}}})
+	rec.SetExec(ExecInfo{Rows: 64, Ops: []ExecOpStat{{ID: 0, Parent: -1, Op: "Hash_join", RowsOut: 64}}})
 	rec.AttachRefinement(RefinementInfo{Outcome: "swapped", GreedyCost: 10, FullCost: 8})
 	completeOK(fr, rec)
 

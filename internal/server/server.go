@@ -75,9 +75,6 @@ type Config struct {
 	ExecRows int
 	// ExecSeed seeds the generated demo data; 0 = 101.
 	ExecSeed int64
-	// ExecWorkers bounds executor parallelism for executed requests;
-	// 0 = GOMAXPROCS, negative = serial.
-	ExecWorkers int
 	// Cluster joins this server to a static peer group sharing one
 	// logical plan cache (see internal/cluster): each canonical query
 	// fingerprint gets an owning node on a consistent-hash ring, local
@@ -148,16 +145,6 @@ func (c *Config) execSeed() int64 {
 		return c.ExecSeed
 	}
 	return 101
-}
-
-func (c *Config) execWorkers() int {
-	switch {
-	case c.ExecWorkers > 0:
-		return c.ExecWorkers
-	case c.ExecWorkers < 0:
-		return 0
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 func (c *Config) cacheSize() int {
@@ -627,7 +614,9 @@ type OptimizeResponse struct {
 
 // ExecSummary is the wire rendering of an executed plan's runtime.
 type ExecSummary struct {
-	Rows      int   `json:"rows"`
+	Rows int `json:"rows"`
+	// Workers is always 1: the executor is serial. The field stays on
+	// the wire because the repository benchmark (perfbench/) fills it.
 	Workers   int   `json:"workers"`
 	ElapsedUS int64 `json:"elapsed_us"`
 }
@@ -797,7 +786,6 @@ func (s *Server) executePlan(world *World, plan *volcano.PExpr, rec *obs.Request
 			fmt.Errorf("world %s has no catalog; cannot execute plans", world.Name)
 	}
 	comp := exec.NewCompiler(db, world.ExecProps)
-	comp.Opts = exec.ExecOptions{Workers: s.cfg.execWorkers()}
 	var st *exec.ExecStats
 	if rec != nil {
 		st = &exec.ExecStats{}
@@ -813,12 +801,11 @@ func (s *Server) executePlan(world *World, plan *volcano.PExpr, rec *obs.Request
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity, fmt.Errorf("execute: %w", err)
 	}
-	sum := &ExecSummary{Rows: len(res.Rows), Workers: comp.Opts.Workers, ElapsedUS: elapsed.Microseconds()}
+	sum := &ExecSummary{Rows: len(res.Rows), Workers: 1, ElapsedUS: elapsed.Microseconds()}
 	if rec != nil {
 		rec.PhaseClock().Observe(obs.PhaseExec, began, elapsed)
 		rec.SetExec(obs.ExecInfo{
 			Rows:      sum.Rows,
-			Workers:   sum.Workers,
 			ElapsedUS: sum.ElapsedUS,
 			Ops:       st.Report(),
 		})

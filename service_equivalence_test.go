@@ -45,10 +45,7 @@ func svcPost(t *testing.T, url string, req server.OptimizeRequest) server.Optimi
 }
 
 // runWirePlan decodes a wire plan against the world's algebra, compiles
-// it, and executes it — once on the serial engine and once with the
-// parallel engine (workers=4), which must agree bag-for-bag. Every
-// differential suite built on this helper therefore also covers the
-// parallel executor.
+// it, and executes it.
 func runWirePlan(t *testing.T, w *server.World, db *data.DB, or server.OptimizeResponse) *exec.Result {
 	t.Helper()
 	if or.Plan == nil {
@@ -65,20 +62,6 @@ func runWirePlan(t *testing.T, w *server.World, db *data.DB, or server.OptimizeR
 	got, err := exec.Run(it)
 	if err != nil {
 		t.Fatalf("%s %s: execute: %v", w.Name, or.Query, err)
-	}
-	pc := exec.NewCompiler(db, w.ExecProps)
-	pc.Opts = exec.ExecOptions{Workers: 4}
-	pit, err := pc.Compile(tree)
-	if err != nil {
-		t.Fatalf("%s %s: parallel compile: %v", w.Name, or.Query, err)
-	}
-	pgot, err := exec.Run(pit)
-	if err != nil {
-		t.Fatalf("%s %s: parallel execute: %v", w.Name, or.Query, err)
-	}
-	if !exec.SameBag(got, pgot) {
-		t.Fatalf("%s %s: parallel executor disagrees with serial (%d vs %d rows)",
-			w.Name, or.Query, len(pgot.Rows), len(got.Rows))
 	}
 	return got
 }
