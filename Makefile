@@ -20,9 +20,11 @@ race:
 
 # A short benchmark smoke: three iterations of the figure benchmarks that
 # stress the search engine hardest (E3/E4 sweeps and the exploration
-# figure). Full runs: `go test -bench=. -benchmem`.
+# figure), and a short run of the service's warm plan-cache hit (all four
+# worlds, in-process handler). Full runs: `go test -bench=. -benchmem`.
 bench-smoke:
 	$(GO) test -run 'XXX' -bench 'Fig1[234]' -benchmem -benchtime 3x .
+	$(GO) test -run 'XXX' -bench 'WarmHit' -benchmem -benchtime 2000x ./internal/server
 
 # Neutrality guards: run a feature's micro-benchmarks with the feature
 # absent ("off") and attached-but-disabled ("disabled"), and fail if the
@@ -138,13 +140,16 @@ bench-cluster: build
 # FuzzFingerprint property-tests the plan-cache fingerprint invariants
 # (commutative-input swaps, attrs reordering); FuzzCacheEntry hammers
 # the peer-protocol cache-entry codec (garbage rejected without panics,
-# decodables reach an encode/decode fixed point). Seed corpora live
+# decodables reach an encode/decode fixed point); FuzzPlanJSON holds the
+# service's JSON appender byte-identical to encoding/json on random plan
+# trees (escaping, float formatting, omitempty, key order). Seed corpora live
 # under testdata/fuzz/; crashers are gitignored until promoted.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/prairielang
 	$(GO) test -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanJSON$$' -fuzztime $(FUZZTIME) ./internal/wire
 
 # Statement-coverage gate: one merged profile, per-package summary, and
 # a hard floor on the total (scripts/cover.awk). Baseline with the

@@ -26,6 +26,7 @@ import (
 	"prairie/internal/exec"
 	"prairie/internal/obs"
 	"prairie/internal/volcano"
+	"prairie/internal/wire"
 )
 
 // Config tunes a Server. The zero value of every field selects a
@@ -398,10 +399,24 @@ type errorBody struct {
 	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
 }
 
+// writeJSON answers with v as JSON. The body is encoded before the
+// status goes out, so a value that cannot be encoded (a non-finite
+// float, say) becomes a 500 with an error body rather than the chosen
+// status with an empty one.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		b, _ = json.Marshal(errorBody{Error: "encode response: " + err.Error()})
+	}
+	writeBody(w, code, append(b, '\n'))
+}
+
+// writeBody answers with an encoded JSON body.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body)
 }
 
 func (s *Server) shed(w http.ResponseWriter, code int, msg string, retryAfter time.Duration) {
@@ -610,6 +625,12 @@ type OptimizeResponse struct {
 	// RequestID correlates the response with its flight record
 	// (/v1/debug/requests/{id}); present only when the recorder is on.
 	RequestID string `json:"request_id,omitempty"`
+
+	// rendered, when set, is the served plan's pre-rendered wire form:
+	// the JSON writer takes plan_text and cost from it, and with
+	// withPlan the plan too, in place of PlanText, Cost and Plan.
+	rendered *wire.Rendering
+	withPlan bool
 }
 
 // ExecSummary is the wire rendering of an executed plan's runtime.
@@ -645,11 +666,13 @@ func (s *Server) optimizeOne(ctx context.Context, world *World, req OptimizeRequ
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	tree, want, err := world.Build(req.Query)
+	query, err := world.prepare(req.Query)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	rec.SetRequestInfo(world.Name, req.Query.String(), budgetName(req.Budget))
+	if rec != nil {
+		rec.SetRequestInfo(world.Name, req.Query.String(), budgetName(req.Budget))
+	}
 	ctx, cancel := context.WithTimeout(ctx, s.timeout(req.TimeoutMS))
 	defer cancel()
 
@@ -665,7 +688,10 @@ func (s *Server) optimizeOne(ctx context.Context, world *World, req OptimizeRequ
 		opt.Opts.OnRefine = s.refineHook(rec)
 	}
 	start := time.Now()
-	plan, err := opt.OptimizeContext(ctx, tree, want)
+	// A hit lends out the cache entry's own plan: it is only read below
+	// (rendered once per entry into the entry's render slot, or executed
+	// through a fresh tree).
+	plan, err := opt.OptimizePrepared(ctx, query)
 	elapsed := time.Since(start)
 	s.hLatency.Observe(elapsed.Seconds())
 	if err != nil {
@@ -676,13 +702,12 @@ func (s *Server) optimizeOne(ctx context.Context, world *World, req OptimizeRequ
 	if rec != nil {
 		s.recordOutcome(rec, tier, opt.Stats)
 	}
-	resp := s.buildResponse(world, req.Query, plan, opt.Stats, elapsed.Microseconds())
-	if req.IncludePlan {
-		resp.Plan, err = EncodePlan(plan)
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
+	resp := s.buildResponse(world, req.Query, opt.Stats, elapsed.Microseconds())
+	resp.rendered, err = wire.Render(opt.Rendering(), plan, plan.Cost(world.RS.Class), req.IncludePlan)
+	if err != nil {
+		return nil, http.StatusInternalServerError, err
 	}
+	resp.withPlan = req.IncludePlan
 	if req.Execute {
 		sum, code, err := s.executePlan(world, plan, rec)
 		if err != nil {
@@ -813,11 +838,11 @@ func (s *Server) executePlan(world *World, plan *volcano.PExpr, rec *obs.Request
 	return sum, 0, nil
 }
 
-// buildResponse renders one optimization outcome as its wire response;
-// /v1/optimize and /v1/batch share it so the degradation and tier
-// surfaces stay consistent, and the per-outcome server metrics
-// (degraded, cache hits) are counted exactly once here.
-func (s *Server) buildResponse(world *World, q QuerySpec, plan *volcano.PExpr, st *volcano.Stats, elapsedUS int64) *OptimizeResponse {
+// buildResponse renders one optimization outcome, short of its plan, as
+// its wire response; /v1/optimize and /v1/batch share it so the
+// degradation and tier surfaces stay consistent, and the per-outcome
+// server metrics (degraded, cache hits) are counted exactly once here.
+func (s *Server) buildResponse(world *World, q QuerySpec, st *volcano.Stats, elapsedUS int64) *OptimizeResponse {
 	tier := st.Tier
 	if tier == "" {
 		tier = volcano.TierFull.String()
@@ -825,8 +850,6 @@ func (s *Server) buildResponse(world *World, q QuerySpec, plan *volcano.PExpr, s
 	resp := &OptimizeResponse{
 		Ruleset:     world.Name,
 		Query:       q,
-		PlanText:    plan.String(),
-		Cost:        plan.Cost(world.RS.Class),
 		Degraded:    st.Degraded,
 		CacheHit:    st.CacheHits > 0 && st.CacheMisses == 0,
 		PlannerTier: tier,
@@ -916,7 +939,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if rec != nil {
 		resp.RequestID = rec.ID
 	}
-	writeJSON(w, code, resp)
+	writeResponse(w, code, resp)
 	outcome := "ok"
 	if resp.Degraded {
 		outcome = "degraded"
@@ -1032,7 +1055,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Results[i] = BatchItemResponse{Error: res.Err.Error()}
 			continue
 		}
-		item := s.buildResponse(worlds[i], req.Items[i].Query, res.Plan, res.Stats, res.Elapsed.Microseconds())
+		item := s.buildResponse(worlds[i], req.Items[i].Query, res.Stats, res.Elapsed.Microseconds())
+		item.PlanText = res.Plan.String()
+		item.Cost = res.Plan.Cost(worlds[i].RS.Class)
 		if item.Degraded {
 			resp.Degraded++
 		}
@@ -1043,7 +1068,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results[i] = BatchItemResponse{OptimizeResponse: item}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeResponse(w, http.StatusOK, &resp)
 	outcome := "ok"
 	if resp.Degraded > 0 {
 		outcome = "degraded"

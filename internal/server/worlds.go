@@ -40,10 +40,101 @@ type World struct {
 	// MaxN bounds QuerySpec.N for this world.
 	MaxN int
 
+	// key reduces a spec to exactly what the world's builder reads,
+	// rejecting invalid specs, and build builds the query of a reduced
+	// spec; Build is their composition. Worlds that set key get a
+	// prepared-query memo (see prepare); worlds that set only Build are
+	// built afresh on every request.
+	key   func(q QuerySpec) (specKey, error)
+	build func(k specKey) (*core.Expr, *core.Descriptor, error)
+	// prepared memoizes the prepared query of every reduced spec served
+	// so far. Keyed on specKey, it holds at most one entry per valid
+	// spec whatever junk the ignored fields carry.
+	prepMu   sync.RWMutex
+	prepared map[specKey]*volcano.Query
+
 	// execOnce/execDB lazily populate the world's demo database the
 	// first time a request asks the server to execute its plan.
 	execOnce sync.Once
 	execDB   *data.DB
+}
+
+// specKey is a QuerySpec reduced to what a world's builder reads: the
+// expression family, the width and the join graph, each left zero by
+// worlds that ignore it.
+type specKey struct {
+	kind  qgen.ExprKind
+	n     int
+	graph qgen.Graph
+}
+
+// setBuilder installs a world's reduction and builder, and Build as
+// their composition.
+func (w *World) setBuilder(key func(QuerySpec) (specKey, error), build func(specKey) (*core.Expr, *core.Descriptor, error)) {
+	w.key, w.build = key, build
+	w.Build = func(q QuerySpec) (*core.Expr, *core.Descriptor, error) {
+		k, err := key(q)
+		if err != nil {
+			return nil, nil, err
+		}
+		return build(k)
+	}
+}
+
+// prepare returns the prepared query of q: the memoized one when the
+// world has seen the same reduced spec before, else a new one built,
+// fingerprinted and (for worlds with a reduction) memoized. The memo
+// holds templates only; every search clones its own tree.
+func (w *World) prepare(q QuerySpec) (*volcano.Query, error) {
+	if w.key == nil {
+		tree, want, err := w.Build(q)
+		if err != nil {
+			return nil, err
+		}
+		return w.RS.Prepare(tree, want), nil
+	}
+	k, err := w.key(q)
+	if err != nil {
+		return nil, err
+	}
+	w.prepMu.RLock()
+	pq := w.prepared[k]
+	w.prepMu.RUnlock()
+	if pq != nil {
+		return pq, nil
+	}
+	tree, want, err := w.build(k)
+	if err != nil {
+		return nil, err
+	}
+	pq = w.RS.Prepare(tree, want)
+	w.prepMu.Lock()
+	defer w.prepMu.Unlock()
+	if prev := w.prepared[k]; prev != nil {
+		return prev, nil
+	}
+	if w.prepared == nil {
+		w.prepared = make(map[specKey]*volcano.Query)
+	}
+	w.prepared[k] = pq
+	return pq, nil
+}
+
+// oodbKey reduces an OODB query spec: family, width and join graph
+// all shape the tree.
+func (w *World) oodbKey(q QuerySpec) (specKey, error) {
+	if err := w.checkN(q.N); err != nil {
+		return specKey{}, err
+	}
+	e, err := qgen.ParseKind(q.Family)
+	if err != nil {
+		return specKey{}, err
+	}
+	g, err := parseGraph(q.Graph)
+	if err != nil {
+		return specKey{}, err
+	}
+	return specKey{kind: e, n: q.N, graph: g}, nil
 }
 
 // ExecDB returns the world's demo database, generated from its catalog
@@ -104,24 +195,13 @@ func OODBVolcanoWorld(cat *catalog.Catalog, maxN int) *World {
 		},
 		MaxN: maxN,
 	}
-	w.Build = func(q QuerySpec) (*core.Expr, *core.Descriptor, error) {
-		if err := w.checkN(q.N); err != nil {
-			return nil, nil, err
-		}
-		e, err := qgen.ParseKind(q.Family)
-		if err != nil {
-			return nil, nil, err
-		}
-		g, err := parseGraph(q.Graph)
-		if err != nil {
-			return nil, nil, err
-		}
-		tree, err := qgen.BuildGraph(o, e, q.N, g)
+	w.setBuilder(w.oodbKey, func(k specKey) (*core.Expr, *core.Descriptor, error) {
+		tree, err := qgen.BuildGraph(o, k.kind, k.n, k.graph)
 		if err != nil {
 			return nil, nil, err
 		}
 		return tree, core.NewDescriptor(o.Alg.Props), nil
-	}
+	})
 	return w
 }
 
@@ -147,24 +227,13 @@ func OODBPrairieWorld(cat *catalog.Catalog, maxN int) (*World, error) {
 		},
 		MaxN: maxN,
 	}
-	w.Build = func(q QuerySpec) (*core.Expr, *core.Descriptor, error) {
-		if err := w.checkN(q.N); err != nil {
-			return nil, nil, err
-		}
-		e, err := qgen.ParseKind(q.Family)
-		if err != nil {
-			return nil, nil, err
-		}
-		g, err := parseGraph(q.Graph)
-		if err != nil {
-			return nil, nil, err
-		}
-		tree, err := qgen.BuildGraph(o, e, q.N, g)
+	w.setBuilder(w.oodbKey, func(k specKey) (*core.Expr, *core.Descriptor, error) {
+		tree, err := qgen.BuildGraph(o, k.kind, k.n, k.graph)
 		if err != nil {
 			return nil, nil, err
 		}
 		return rep.PrepareQuery(tree, nil)
-	}
+	})
 	return w, nil
 }
 
@@ -188,25 +257,29 @@ func RelationalWorld(cat *catalog.Catalog, maxN int) (*World, error) {
 		},
 		MaxN: maxN,
 	}
-	w.Build = func(q QuerySpec) (*core.Expr, *core.Descriptor, error) {
+	// The join graph is ignored: relational queries are linear chains.
+	key := func(q QuerySpec) (specKey, error) {
 		if err := w.checkN(q.N); err != nil {
-			return nil, nil, err
+			return specKey{}, err
 		}
 		e, err := qgen.ParseKind(q.Family)
 		if err != nil {
-			return nil, nil, err
+			return specKey{}, err
 		}
-		names := make([]string, q.N)
+		return specKey{kind: e, n: q.N}, nil
+	}
+	w.setBuilder(key, func(k specKey) (*core.Expr, *core.Descriptor, error) {
+		names := make([]string, k.n)
 		for i := range names {
 			names[i] = catalog.ClassName(i + 1)
 		}
-		spec := relopt.QuerySpec{Relations: names, Select: e.HasSelect()}
+		spec := relopt.QuerySpec{Relations: names, Select: k.kind.HasSelect()}
 		tree, err := o.Build(spec)
 		if err != nil {
 			return nil, nil, err
 		}
 		return rep.PrepareQuery(tree, o.Requirement(spec))
-	}
+	})
 	return w, nil
 }
 
@@ -244,10 +317,14 @@ func DSLWorld(src string, helpers map[string]prairielang.HelperImpl, maxN int) (
 	joinOp := rs.Algebra.MustOp("JOIN")
 	sortOp := rs.Algebra.MustOp("SORT")
 	w := &World{Name: "dsl", RS: vrs, MaxN: maxN}
-	w.Build = func(q QuerySpec) (*core.Expr, *core.Descriptor, error) {
+	// Only the width matters: family and graph are ignored.
+	key := func(q QuerySpec) (specKey, error) {
 		if err := w.checkN(q.N); err != nil {
-			return nil, nil, err
+			return specKey{}, err
 		}
+		return specKey{n: q.N}, nil
+	}
+	w.setBuilder(key, func(k specKey) (*core.Expr, *core.Descriptor, error) {
 		ret := func(i int) *core.Expr {
 			name := fmt.Sprintf("R%d", i)
 			d := core.NewDescriptor(ps)
@@ -257,7 +334,7 @@ func DSLWorld(src string, helpers map[string]prairielang.HelperImpl, maxN int) (
 			return core.NewNode(retOp, d.Clone(), leaf)
 		}
 		cur := ret(1)
-		for i := 2; i <= q.N; i++ {
+		for i := 2; i <= k.n; i++ {
 			r := ret(i)
 			jd := core.NewDescriptor(ps)
 			jd.SetFloat(nr, math.Max(cur.D.Float(nr), r.D.Float(nr)))
@@ -269,7 +346,7 @@ func DSLWorld(src string, helpers map[string]prairielang.HelperImpl, maxN int) (
 		sd.Set(ord, core.OrderBy(core.A("R1", "a")))
 		query := core.NewNode(sortOp, sd, cur)
 		return rep.PrepareQuery(query, nil)
-	}
+	})
 	return w, nil
 }
 

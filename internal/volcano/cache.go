@@ -113,6 +113,24 @@ type cachedPlan struct {
 	// cluster shard (zero off-cluster): hits on it count as ReplicaHits
 	// so the replication tier's effect is observable.
 	replica bool
+	// render holds the serving layer's rendering of plan (see
+	// RenderSlot); every entry gets its own, empty, slot when it is
+	// built.
+	render *RenderSlot
+}
+
+// newCachedPlan builds the cache entry of a finished full-tier search:
+// a detached copy of its plan plus the memo shape in st.
+func newCachedPlan(plan *PExpr, cost float64, st *Stats) cachedPlan {
+	return cachedPlan{
+		plan:      plan.Clone(),
+		cost:      cost,
+		groups:    st.Groups,
+		exprs:     st.Exprs,
+		merges:    st.Merges,
+		memoBytes: st.MemoBytes,
+		render:    &RenderSlot{},
+	}
 }
 
 // cacheSeed is one warm-start candidate: a proper subtree of the query,
@@ -137,14 +155,10 @@ func budgetClass(opts Options) string {
 		b.Timeout, b.MaxExprs, b.MaxGroups, b.MaxRuleFirings, opts.Explorer)
 }
 
-// rootKey builds the cache key of a whole query.
-func (o *Optimizer) rootKey(tree *core.Expr, req *core.Descriptor) plancache.Key {
-	fp, canon := o.RS.fingerprintNode(tree)
-	return o.finishKey(fp, canon, req)
-}
-
-// finishKey extends a tree fingerprint with the required physical
-// properties and the budget class, and stamps scope and epoch.
+// finishKey extends a subtree fingerprint with the required physical
+// properties and the budget class, and stamps scope and epoch (the
+// warm-start probes; a whole query's key comes from Query.key, which
+// computes the same thing once per budget class).
 func (o *Optimizer) finishKey(fp uint64, canon string, req *core.Descriptor) plancache.Key {
 	phys := o.RS.Class.Phys
 	bstr := budgetClass(o.Opts)
@@ -168,30 +182,27 @@ func (o *Optimizer) finishKey(fp uint64, canon string, req *core.Descriptor) pla
 //   - Miss (follower): wait for the leader; adopt its shared result, or
 //     run an independent search when the leader declined to share
 //     (degraded or failed runs are never cached).
-func (o *Optimizer) cachedOptimize(ctx context.Context, tree *core.Expr, req *core.Descriptor) (*PExpr, error) {
-	if req == nil {
-		req = core.NewDescriptor(o.RS.Algebra.Props)
-	}
+func (o *Optimizer) cachedOptimize(ctx context.Context, q *Query) (*PExpr, error) {
 	// A stale-epoch answer from the owning peer means the cluster layer
 	// just advanced the local epoch: rebuild the key under the new
 	// generation and retry once. The bound matters — a peer that keeps
 	// racing ahead must not starve this request, so the second attempt
 	// treats a further stale answer as a plain miss.
-	plan, err, retry := o.cachedOptimizeOnce(ctx, tree, req, true)
+	plan, err, retry := o.cachedOptimizeOnce(ctx, q, true)
 	if retry {
-		plan, err, _ = o.cachedOptimizeOnce(ctx, tree, req, false)
+		plan, err, _ = o.cachedOptimizeOnce(ctx, q, false)
 	}
 	return plan, err
 }
 
-func (o *Optimizer) cachedOptimizeOnce(ctx context.Context, tree *core.Expr, req *core.Descriptor, allowStaleRetry bool) (*PExpr, error, bool) {
+func (o *Optimizer) cachedOptimizeOnce(ctx context.Context, q *Query, allowStaleRetry bool) (*PExpr, error, bool) {
 	pc := o.Opts.Cache
 	ph := o.Opts.Phases
 	var phStart time.Time
 	if ph != nil {
 		phStart = time.Now()
 	}
-	key := o.rootKey(tree, req)
+	key := q.key(o.Opts, pc.c.Epoch())
 	// A full-search request must not adopt a greedy fast-path entry:
 	// the predicate turns such an entry into a miss for this caller
 	// while anytime requests keep hitting it, and the completed search
@@ -230,16 +241,9 @@ func (o *Optimizer) cachedOptimizeOnce(ctx context.Context, tree *core.Expr, req
 		// degrades it per OptimizeContext semantics) and publish the
 		// full-tier result ourselves.
 		o.Stats.CacheMisses++
-		plan, err := o.optimizeContext(ctx, tree, req)
+		plan, err := o.optimizeContext(ctx, q.searchTree(), q.searchReq())
 		if err == nil && plan != nil && !o.Stats.Degraded {
-			cp := cachedPlan{
-				plan:      plan.Clone(),
-				cost:      plan.Cost(o.RS.Class),
-				groups:    o.Stats.Groups,
-				exprs:     o.Stats.Exprs,
-				merges:    o.Stats.Merges,
-				memoBytes: o.Stats.MemoBytes,
-			}
+			cp := newCachedPlan(plan, plan.Cost(o.RS.Class), o.Stats)
 			if rem := o.Opts.Remote; rem != nil {
 				// A remotely-owned entry's capacity belongs to its shard:
 				// offer it to the owner and store locally only when the
@@ -297,9 +301,9 @@ func (o *Optimizer) cachedOptimizeOnce(ctx context.Context, tree *core.Expr, req
 	if ph != nil {
 		ph.Observe(obs.PhaseCache, phStart, time.Since(phStart))
 	}
-	o.warm = true
-	plan, err := o.optimizeContext(ctx, tree, req)
-	o.warm = false
+	o.warm = q.subs
+	plan, err := o.optimizeContext(ctx, q.searchTree(), q.searchReq())
+	o.warm = nil
 	if err != nil || plan == nil || o.Stats.Degraded {
 		if remoteLead {
 			// The owner granted this node the cluster-wide lease; with
@@ -310,14 +314,7 @@ func (o *Optimizer) cachedOptimizeOnce(ctx context.Context, tree *core.Expr, req
 		a.Complete(cachedPlan{}, false)
 		return plan, err, false
 	}
-	cp := cachedPlan{
-		plan:      plan.Clone(),
-		cost:      plan.Cost(o.RS.Class),
-		groups:    o.Stats.Groups,
-		exprs:     o.Stats.Exprs,
-		merges:    o.Stats.Merges,
-		memoBytes: o.Stats.MemoBytes,
-	}
+	cp := newCachedPlan(plan, plan.Cost(o.RS.Class), o.Stats)
 	if rem := o.Opts.Remote; rem != nil {
 		// Share with local followers unconditionally; store locally only
 		// when the cluster layer keeps the capacity here (self-owned key
@@ -330,10 +327,10 @@ func (o *Optimizer) cachedOptimizeOnce(ctx context.Context, tree *core.Expr, req
 	return plan, nil, false
 }
 
-// cacheHit materializes a cache entry as this run's result: the plan is
-// cloned (callers own their plans) and the cold run's memo-shape
-// counters are copied into Stats, standing in for the search that was
-// skipped.
+// cacheHit materializes a cache entry as this run's result: the entry's
+// own plan is lent out (OptimizeContext clones it, since its callers
+// own their plans) and the cold run's memo-shape counters are copied
+// into Stats, standing in for the search that was skipped.
 func (o *Optimizer) cacheHit(cp cachedPlan) *PExpr {
 	o.Stats.Groups = cp.groups
 	o.Stats.Exprs = cp.exprs
@@ -352,15 +349,17 @@ func (o *Optimizer) cacheHit(cp cachedPlan) *PExpr {
 		o.Stats.GreedyCost = cp.greedyCost
 		o.Stats.FullCost = cp.cost
 	}
-	return cp.plan.Clone()
+	o.borrowed, o.render = true, cp.render
+	return cp.plan
 }
 
 // installSeeds records every proper interior subtree of the query as a
-// warm-start candidate. Called after the tree is interned (Insert is
-// idempotent, so re-interning subtrees only reads the memo); group ids
-// are canonicalized again at lookup time because exploration merges
-// groups.
-func (o *Optimizer) installSeeds(tree *core.Expr) {
+// warm-start candidate, pairing each with its fingerprint in subs (the
+// query's subtree prints, in the same pre-order). Called after the tree
+// is interned (Insert is idempotent, so re-interning subtrees only reads
+// the memo); group ids are canonicalized again at lookup time because
+// exploration merges groups.
+func (o *Optimizer) installSeeds(tree *core.Expr, subs []subtreePrint) {
 	o.seeds = o.seeds[:0]
 	var walk func(e *core.Expr, root bool)
 	walk = func(e *core.Expr, root bool) {
@@ -368,8 +367,8 @@ func (o *Optimizer) installSeeds(tree *core.Expr) {
 			return
 		}
 		if !root {
-			fp, canon := o.RS.fingerprintNode(e)
-			o.seeds = append(o.seeds, cacheSeed{gid: o.Memo.Insert(e), fp: fp, canon: canon})
+			p := subs[len(o.seeds)]
+			o.seeds = append(o.seeds, cacheSeed{gid: o.Memo.Insert(e), fp: p.fp, canon: p.canon})
 		}
 		for _, k := range e.Kids {
 			walk(k, false)

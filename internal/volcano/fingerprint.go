@@ -31,8 +31,19 @@ import (
 // rendering of the logical tree rooted at e.
 func (rs *RuleSet) fingerprintNode(e *core.Expr) (uint64, string) {
 	var b strings.Builder
-	h := rs.fingerprintWalk(e, &b)
+	h := rs.fingerprintWalk(e, &b, nil)
 	return h, b.String()
+}
+
+// fingerprintAll is fingerprintNode that also returns the fingerprint
+// of every proper interior subtree, in pre-order. The walk renders each
+// subtree's canonical string on its way to the root's anyway, so the
+// warm-start seeds cost no second walk.
+func (rs *RuleSet) fingerprintAll(e *core.Expr) (uint64, string, []subtreePrint) {
+	var b strings.Builder
+	var subs []subtreePrint
+	h := rs.fingerprintWalk(e, &b, &subs)
+	return h, b.String(), subs
 }
 
 // Fingerprint exposes the canonical fingerprint for callers outside the
@@ -50,7 +61,11 @@ func (rs *RuleSet) Commutative(op *core.Operation) bool {
 	return rs.commutative(op)
 }
 
-func (rs *RuleSet) fingerprintWalk(e *core.Expr, b *strings.Builder) uint64 {
+// fingerprintWalk writes the canonical rendering of e into b and
+// returns its hash. A non-nil subs collects the proper interior
+// subtrees' fingerprints: each subtree takes its slot before the walk
+// descends into it, so the slots come out in pre-order.
+func (rs *RuleSet) fingerprintWalk(e *core.Expr, b *strings.Builder, subs *[]subtreePrint) uint64 {
 	if e.IsLeaf() {
 		// Same leaf constant as Memo.selfHash, extended with the
 		// catalog projection: the memo can key leaves by name alone
@@ -76,7 +91,15 @@ func (rs *RuleSet) fingerprintWalk(e *core.Expr, b *strings.Builder) uint64 {
 	kids := make([]kidFP, len(e.Kids))
 	for i, k := range e.Kids {
 		var kb strings.Builder
-		kids[i] = kidFP{rs.fingerprintWalk(k, &kb), kb.String()}
+		slot := -1
+		if subs != nil && !k.IsLeaf() {
+			slot = len(*subs)
+			*subs = append(*subs, subtreePrint{})
+		}
+		kids[i] = kidFP{rs.fingerprintWalk(k, &kb, subs), kb.String()}
+		if slot >= 0 {
+			(*subs)[slot] = subtreePrint{kids[i].h, kids[i].s}
+		}
 	}
 	if len(kids) == 2 && rs.commutative(e.Op) {
 		if kids[1].h < kids[0].h || (kids[1].h == kids[0].h && kids[1].s < kids[0].s) {

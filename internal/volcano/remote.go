@@ -54,6 +54,10 @@ type RemoteEntry struct {
 	Exprs     int
 	Merges    int
 	MemoBytes int64
+	// Render is the local entry's render slot (nil for an entry that
+	// came off the wire), so a peer payload reuses the rendering local
+	// hits are served from.
+	Render *RenderSlot
 }
 
 // RemoteResult is the outcome of one RemoteCache.Fetch.
@@ -98,6 +102,7 @@ func entryOf(cp cachedPlan) RemoteEntry {
 		Exprs:     cp.exprs,
 		Merges:    cp.merges,
 		MemoBytes: cp.memoBytes,
+		Render:    cp.render,
 	}
 }
 
@@ -113,6 +118,7 @@ func cachedPlanOf(e RemoteEntry, replica bool) cachedPlan {
 		merges:    e.Merges,
 		memoBytes: e.MemoBytes,
 		replica:   replica,
+		render:    &RenderSlot{},
 	}
 }
 

@@ -148,12 +148,18 @@ type Optimizer struct {
 	// run is the resource accounting of the current OptimizeContext call
 	// (see budget.go).
 	run budgetState
-	// warm marks a cache-miss leader run: optimizeContext installs
-	// warm-start seeds for the query's subtrees (see cache.go).
-	warm bool
+	// warm holds the subtree fingerprints of a cache-miss leader run's
+	// query: optimizeContext installs them as warm-start seeds (see
+	// cache.go).
+	warm []subtreePrint
 	// seeds are the current run's warm-start candidates; findBest
 	// consults them via lookupSeed.
 	seeds []cacheSeed
+	// borrowed marks a run answered from a cache entry's own plan, which
+	// OptimizeContext clones before handing it out; render is that
+	// entry's render slot.
+	borrowed bool
+	render   *RenderSlot
 }
 
 // NewOptimizer returns an optimizer over a fresh memo.
@@ -192,6 +198,24 @@ func (o *Optimizer) Optimize(tree *core.Expr, req *core.Descriptor) (*PExpr, err
 // background context and a zero Budget the behaviour and results are
 // identical to Optimize in previous releases.
 func (o *Optimizer) OptimizeContext(ctx context.Context, tree *core.Expr, req *core.Descriptor) (*PExpr, error) {
+	plan, err := o.OptimizePrepared(ctx, &Query{rs: o.RS, tree: tree, req: req, owned: true})
+	if o.borrowed {
+		plan = plan.Clone()
+	}
+	return plan, err
+}
+
+// OptimizePrepared is OptimizeContext over a prepared query (see
+// RuleSet.Prepare), which must come from the optimizer's own rule set.
+// A cache hit returns the cache entry's own plan rather than a copy:
+// the plan is read-only to the caller, and Rendering names the entry's
+// render slot.
+func (o *Optimizer) OptimizePrepared(ctx context.Context, q *Query) (*PExpr, error) {
+	if q.rs != o.RS {
+		return nil, errors.New("volcano: query prepared for another rule set")
+	}
+	q.norm()
+	o.borrowed, o.render = false, nil
 	o.beginObs()
 	if ob := o.Opts.Obs; ob.Enabled() {
 		// The observed wrapper lives outside the search proper: spans
@@ -199,7 +223,7 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, tree *core.Expr, req *c
 		// only ever see the cached o.timing / o.tr guards.
 		start := time.Now()
 		sp := o.tr.Begin(o.tid, "optimize", "optimize")
-		plan, err := o.dispatchOptimize(ctx, tree, req)
+		plan, err := o.dispatchOptimize(ctx, q)
 		sp.EndArgs(map[string]any{
 			"groups": o.Stats.Groups, "exprs": o.Stats.Exprs,
 			"winners": o.Stats.Winners, "degraded": o.Stats.Degraded,
@@ -207,22 +231,28 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, tree *core.Expr, req *c
 		recordRun(ob, o.Stats, time.Since(start), err)
 		return plan, err
 	}
-	return o.dispatchOptimize(ctx, tree, req)
+	return o.dispatchOptimize(ctx, q)
 }
+
+// Rendering returns the render slot of the plan-cache entry the last
+// run was answered from, nil when the run searched. Only reused entries
+// get a rendering: a search's caller renders its plan for itself, so an
+// entry that is never hit again holds none.
+func (o *Optimizer) Rendering() *RenderSlot { return o.render }
 
 // dispatchOptimize routes tiered requests to the anytime planner and
 // cached requests through the plan cache; the cacheless full-tier path
 // is a direct call, keeping disabled-cache untiered runs byte-identical
 // to previous releases (TierFull with an attached Router takes exactly
 // the same path — the router is consulted only by TierAuto).
-func (o *Optimizer) dispatchOptimize(ctx context.Context, tree *core.Expr, req *core.Descriptor) (*PExpr, error) {
+func (o *Optimizer) dispatchOptimize(ctx context.Context, q *Query) (*PExpr, error) {
 	if o.Opts.Tier != TierFull {
-		return o.tieredOptimize(ctx, tree, req)
+		return o.tieredOptimize(ctx, q)
 	}
 	if o.Opts.Cache.Enabled() {
-		return o.cachedOptimize(ctx, tree, req)
+		return o.cachedOptimize(ctx, q)
 	}
-	return o.optimizeContext(ctx, tree, req)
+	return o.optimizeContext(ctx, q.searchTree(), q.searchReq())
 }
 
 func (o *Optimizer) optimizeContext(ctx context.Context, tree *core.Expr, req *core.Descriptor) (*PExpr, error) {
@@ -235,8 +265,8 @@ func (o *Optimizer) optimizeContext(ctx context.Context, tree *core.Expr, req *c
 		req = core.NewDescriptor(o.RS.Algebra.Props)
 	}
 	root := o.Memo.Insert(tree)
-	if o.warm {
-		o.installSeeds(tree)
+	if o.warm != nil {
+		o.installSeeds(tree, o.warm)
 	} else if len(o.seeds) != 0 {
 		o.seeds = o.seeds[:0]
 	}

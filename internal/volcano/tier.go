@@ -410,12 +410,9 @@ func (rs *RuleSet) shapeClass(e *core.Expr) uint64 {
 // path intact). Cacheless operation degenerates to synchronous
 // planning: greedy for TierGreedy, router-directed greedy-or-full for
 // TierAuto (both costs measured so the router still learns).
-func (o *Optimizer) tieredOptimize(ctx context.Context, tree *core.Expr, req *core.Descriptor) (*PExpr, error) {
-	if req == nil {
-		req = core.NewDescriptor(o.RS.Algebra.Props)
-	}
+func (o *Optimizer) tieredOptimize(ctx context.Context, q *Query) (*PExpr, error) {
 	if !o.Opts.Cache.Enabled() {
-		return o.tieredUncached(ctx, tree, req)
+		return o.tieredUncached(ctx, q)
 	}
 	pc := o.Opts.Cache
 	rt := o.Opts.Router
@@ -431,7 +428,7 @@ func (o *Optimizer) tieredOptimize(ctx context.Context, tree *core.Expr, req *co
 	if ph != nil {
 		phStart = time.Now()
 	}
-	key := o.rootKey(tree, req)
+	key := q.key(o.Opts, pc.c.Epoch())
 	a := pc.c.Acquire(key)
 	if a.Hit {
 		o.Stats.CacheHits++
@@ -443,12 +440,12 @@ func (o *Optimizer) tieredOptimize(ctx context.Context, tree *core.Expr, req *co
 		// refinement never landed (failed, stale, or router-skipped
 		// earlier) may re-spawn it per current policy.
 		if o.Opts.Tier == TierAuto && a.Value.tier == TierGreedy && !a.Value.refined {
-			class := o.RS.shapeClass(tree)
+			class := q.shape()
 			o.Stats.TierClass = class
 			if rt.route(class) {
 				o.Stats.TierRouted = "refine"
 				if rt.beginRefine(key) {
-					o.spawnRefine(key, class, tree, req, a.Value.cost)
+					o.spawnRefine(key, class, q, a.Value.cost)
 				}
 			} else {
 				o.Stats.TierRouted = "greedy"
@@ -475,6 +472,7 @@ func (o *Optimizer) tieredOptimize(ctx context.Context, tree *core.Expr, req *co
 		// Leader declined to share or our wait was cancelled: answer
 		// independently at this tier without publishing.
 		o.Stats.CacheMisses++
+		tree, req := q.searchTree(), q.searchReq()
 		plan, _, err := o.greedyTier(tree, req)
 		if err != nil && o.Opts.Tier == TierAuto {
 			return o.optimizeContext(ctx, tree, req)
@@ -492,6 +490,7 @@ func (o *Optimizer) tieredOptimize(ctx context.Context, tree *core.Expr, req *co
 	// no-share Complete is idempotent, so the success path below wins
 	// when it runs first.
 	defer a.Complete(cachedPlan{}, false)
+	tree, req := q.searchTree(), q.searchReq()
 	plan, cost, gerr := o.greedyTier(tree, req)
 	if gerr != nil {
 		if o.Opts.Tier == TierGreedy {
@@ -506,36 +505,23 @@ func (o *Optimizer) tieredOptimize(ctx context.Context, tree *core.Expr, req *co
 			a.Complete(cachedPlan{}, false)
 			return full, err
 		}
-		a.Complete(cachedPlan{
-			plan:      full.Clone(),
-			cost:      full.Cost(o.RS.Class),
-			groups:    o.Stats.Groups,
-			exprs:     o.Stats.Exprs,
-			merges:    o.Stats.Merges,
-			memoBytes: o.Stats.MemoBytes,
-		}, true)
+		cp := newCachedPlan(full, full.Cost(o.RS.Class), o.Stats)
+		a.Complete(cp, true)
 		return full, nil
 	}
-	entry := cachedPlan{
-		plan:      plan.Clone(),
-		cost:      cost,
-		groups:    o.Stats.Groups,
-		exprs:     o.Stats.Exprs,
-		merges:    o.Stats.Merges,
-		memoBytes: o.Stats.MemoBytes,
-		tier:      TierGreedy,
-	}
+	entry := newCachedPlan(plan, cost, o.Stats)
+	entry.tier = TierGreedy
 	a.Complete(entry, true)
 	refine := o.Opts.Tier == TierAuto
 	var class uint64
 	if refine {
-		class = o.RS.shapeClass(tree)
+		class = q.shape()
 		refine = rt.route(class)
 		o.Stats.TierClass = class
 		o.Stats.TierRouted = routedName(refine)
 	}
 	if refine && rt.beginRefine(key) {
-		o.spawnRefine(key, class, tree, req, cost)
+		o.spawnRefine(key, class, q, cost)
 	}
 	return plan, nil
 }
@@ -552,13 +538,14 @@ func routedName(refine bool) string {
 // nothing to hot-swap. TierAuto still consults (and teaches) the
 // router — the greedy plan is cheap enough to cost alongside a routed
 // full search.
-func (o *Optimizer) tieredUncached(ctx context.Context, tree *core.Expr, req *core.Descriptor) (*PExpr, error) {
+func (o *Optimizer) tieredUncached(ctx context.Context, q *Query) (*PExpr, error) {
+	tree, req := q.searchTree(), q.searchReq()
 	if o.Opts.Tier == TierGreedy {
 		plan, _, err := o.greedyTier(tree, req)
 		return plan, err
 	}
 	rt := o.Opts.Router
-	class := o.RS.shapeClass(tree)
+	class := q.shape()
 	refine := rt.route(class)
 	o.Stats.TierClass = class
 	o.Stats.TierRouted = routedName(refine)
@@ -613,7 +600,7 @@ func (o *Optimizer) greedyTier(tree *core.Expr, req *core.Descriptor) (*PExpr, f
 // cache entry (epoch-checked, see the file comment) and teaches the
 // router the measured greedy-vs-full benefit. Degraded or failed
 // refinements never swap. Callers must hold the beginRefine claim.
-func (o *Optimizer) spawnRefine(key plancache.Key, class uint64, tree *core.Expr, req *core.Descriptor, greedyCost float64) {
+func (o *Optimizer) spawnRefine(key plancache.Key, class uint64, q *Query, greedyCost float64) {
 	rt, pc, rs := o.Opts.Router, o.Opts.Cache, o.RS
 	opts := o.Opts
 	opts.Tier = TierFull
@@ -627,8 +614,8 @@ func (o *Optimizer) spawnRefine(key plancache.Key, class uint64, tree *core.Expr
 	phases, onRefine := opts.Phases, opts.OnRefine
 	opts.Phases = nil
 	opts.OnRefine = nil
-	tree = tree.Clone()
-	req = req.Clone()
+	tree := q.tree.Clone()
+	req := q.req.Clone()
 	rt.wg.Add(1)
 	go func() {
 		began := time.Now()
@@ -664,17 +651,9 @@ func (o *Optimizer) spawnRefine(key plancache.Key, class uint64, tree *core.Expr
 			out.Outcome = RefineStale
 			return
 		}
-		pc.c.Put(key, cachedPlan{
-			plan:       plan.Clone(),
-			cost:       fullCost,
-			groups:     ref.Stats.Groups,
-			exprs:      ref.Stats.Exprs,
-			merges:     ref.Stats.Merges,
-			memoBytes:  ref.Stats.MemoBytes,
-			tier:       TierFull,
-			refined:    true,
-			greedyCost: greedyCost,
-		})
+		cp := newCachedPlan(plan, fullCost, ref.Stats)
+		cp.refined, cp.greedyCost = true, greedyCost
+		pc.c.Put(key, cp)
 		rt.refineDone.Inc()
 		out.Outcome = RefineSwapped
 		if fullCost < greedyCost {

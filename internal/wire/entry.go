@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"prairie/internal/core"
 	"prairie/internal/volcano"
@@ -21,23 +22,34 @@ type CacheEntry struct {
 	MemoBytes int64     `json:"memo_bytes,omitempty"`
 }
 
-// EncodeEntry serializes a cache entry for the peer protocol.
+// EncodeEntry serializes a cache entry for the peer protocol, writing
+// exactly what encoding/json writes for the CacheEntry. The plan comes
+// from the entry's rendering, which the first encode fills in.
 func EncodeEntry(e volcano.RemoteEntry) ([]byte, error) {
-	pn, err := EncodePlan(e.Plan)
+	if e.Plan == nil {
+		return nil, fmt.Errorf("wire: cache entry without a plan")
+	}
+	r, err := Render(e.Render, e.Plan, e.Cost, true)
 	if err != nil {
 		return nil, err
 	}
-	if pn == nil {
-		return nil, fmt.Errorf("wire: cache entry without a plan")
+	b := append(append([]byte(`{"plan":`), r.Plan...), `,"cost":`...)
+	if b, err = AppendFloat(b, e.Cost); err != nil {
+		return nil, err
 	}
-	return json.Marshal(CacheEntry{
-		Plan:      pn,
-		Cost:      e.Cost,
-		Groups:    e.Groups,
-		Exprs:     e.Exprs,
-		Merges:    e.Merges,
-		MemoBytes: e.MemoBytes,
-	})
+	if e.Groups != 0 {
+		b = strconv.AppendInt(AppendKey(b, "groups"), int64(e.Groups), 10)
+	}
+	if e.Exprs != 0 {
+		b = strconv.AppendInt(AppendKey(b, "exprs"), int64(e.Exprs), 10)
+	}
+	if e.Merges != 0 {
+		b = strconv.AppendInt(AppendKey(b, "merges"), int64(e.Merges), 10)
+	}
+	if e.MemoBytes != 0 {
+		b = strconv.AppendInt(AppendKey(b, "memo_bytes"), e.MemoBytes, 10)
+	}
+	return append(b, '}'), nil
 }
 
 // DecodeEntry rebuilds a cache entry from a peer payload using the
