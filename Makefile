@@ -160,7 +160,7 @@ cover:
 	$(GO) test -timeout 600s -coverprofile=cover.out ./...
 	@awk -v floor=$(COVER_FLOOR) -f scripts/cover.awk cover.out
 
-ci: vet build race bench-smoke cache-guard tier-guard flight-guard cluster-guard rulecheck-guard perfbench-test fuzz-smoke cover
+ci: vet build race bench-smoke bench-guard cache-guard tier-guard flight-guard cluster-guard rulecheck-guard perfbench-test fuzz-smoke cover
 
 # Regenerate every paper table/figure (sequential, paper-faithful timing).
 experiments: build

@@ -9,6 +9,7 @@
 package prairie_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -340,6 +341,7 @@ func TestPlanCacheBatchShared(t *testing.T) {
 	want := make([]string, len(families))
 	var items []volcano.BatchItem
 	const copies = 6
+	pc := volcano.NewPlanCache(64)
 	for i, e := range families {
 		tree, err := qgen.Build(vo, e, 3)
 		if err != nil {
@@ -352,13 +354,10 @@ func TestPlanCacheBatchShared(t *testing.T) {
 		}
 		want[i] = plan.Format()
 		for c := 0; c < copies; c++ {
-			items = append(items, volcano.BatchItem{RS: vrs, Tree: tree, Req: req})
+			items = append(items, volcano.BatchItem{RS: vrs, Tree: tree, Req: req, Opts: volcano.Options{Cache: pc}})
 		}
 	}
-	pc := volcano.NewPlanCache(64)
-	results, report := volcano.OptimizeBatchOpts(nil, items, volcano.BatchOptions{
-		Workers: 8, Cache: pc,
-	})
+	results, report := volcano.OptimizeBatch(context.Background(), items, volcano.BatchOptions{Workers: 8})
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("item %d: %v", i, r.Err)

@@ -39,7 +39,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -142,7 +141,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	hs := newHTTPServer(srv.Handler(), readHeaderTimeout, idleTimeout)
+	hs := obs.NewHTTPServer(srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "optserve: serving %v on http://%s/ (budget classes via /v1/rulesets)\n",
@@ -170,22 +169,6 @@ func main() {
 		srv.Close()
 		logger.Info("stopped")
 	}
-}
-
-// Connection timeouts of the public listener: a client gets
-// readHeaderTimeout to send its request headers, and an idle keep-alive
-// connection is closed after idleTimeout. Request bodies are bounded by
-// the server's own size limit and deadlines, not here.
-const (
-	readHeaderTimeout = 5 * time.Second
-	idleTimeout       = 2 * time.Minute
-)
-
-// newHTTPServer wraps h in an http.Server whose connections cannot be
-// held open indefinitely: a client that trickles its headers is cut off
-// after readHeader, and an idle keep-alive connection after idle.
-func newHTTPServer(h http.Handler, readHeader, idle time.Duration) *http.Server {
-	return &http.Server{Handler: h, ReadHeaderTimeout: readHeader, IdleTimeout: idle}
 }
 
 // parsePeers parses the -peers flag: "a=http://host1:8080,b=http://host2:8080".

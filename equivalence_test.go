@@ -1,6 +1,7 @@
 package prairie_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -247,7 +248,7 @@ func TestOptimizeBatchOODB(t *testing.T) {
 		want = append(want, seq.Stats.Groups)
 		items = append(items, volcano.BatchItem{RS: vrs, Tree: tree, Req: req})
 	}
-	results := volcano.OptimizeBatch(items, 4)
+	results, _ := volcano.OptimizeBatch(context.Background(), items, volcano.BatchOptions{Workers: 4})
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("item %d: %v", i, r.Err)

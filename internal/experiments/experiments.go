@@ -15,6 +15,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -412,6 +413,13 @@ func runPoint(e qgen.ExprKind, indexed bool, n int, opts Options) (point, error)
 	// Let the batch inject the observer so each pool worker gets its own
 	// trace row (per-worker TraceTID) instead of every item sharing one.
 	vopts.Obs = nil
+	if opts.UseCache {
+		// One cache per point: each seed's rule sets carry their own
+		// scope, so entries never cross catalogs, and repeats after the
+		// first become full hits (hits replay the cold run's memo-shape
+		// stats, so the group-equality check below still holds).
+		vopts.Cache = volcano.NewPlanCache(opts.cacheSize())
+	}
 	items := make([]volcano.BatchItem, 0, 2*len(seeds))
 	for _, seed := range seeds {
 		cat := qgen.Catalog(n, seed, indexed)
@@ -437,15 +445,8 @@ func runPoint(e qgen.ExprKind, indexed bool, n int, opts Options) (point, error)
 		vreq := core.NewDescriptor(vo.Alg.Props)
 		items = append(items, volcano.BatchItem{RS: vo.VolcanoRules(), Tree: vtree, Req: vreq, Opts: vopts, Repeats: reps})
 	}
-	bo := volcano.BatchOptions{Workers: opts.workers(), Obs: opts.Obs}
-	if opts.UseCache {
-		// One cache per point: each seed's rule sets carry their own
-		// scope, so entries never cross catalogs, and repeats after the
-		// first become full hits (hits replay the cold run's memo-shape
-		// stats, so the group-equality check below still holds).
-		bo.Cache = volcano.NewPlanCache(opts.cacheSize())
-	}
-	results, report := volcano.OptimizeBatchOpts(nil, items, bo)
+	results, report := volcano.OptimizeBatch(context.Background(), items,
+		volcano.BatchOptions{Workers: opts.workers(), Obs: opts.Obs})
 	opts.collect(report.Agg)
 	pt := point{N: n}
 	var pSum, vSum time.Duration

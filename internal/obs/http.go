@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"time"
 )
 
 // NewMux builds the exposition surface: Prometheus text at /metrics, a
@@ -58,15 +59,36 @@ func NewMux(reg *Registry, tr *Tracer, fr *FlightRecorder) *http.ServeMux {
 	return mux
 }
 
+// Connection timeouts of every listener the project serves on: a
+// client gets readHeaderTimeout to send its request headers, and an idle
+// keep-alive connection is closed after idleTimeout. Request bodies are
+// bounded by the handlers' own size limits and deadlines, not here.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer wraps h in an http.Server whose connections cannot be
+// held open indefinitely: a client that trickles its headers is cut off
+// after 5 s, and an idle keep-alive connection after 2 min.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return newHTTPServer(h, readHeaderTimeout, idleTimeout)
+}
+
+func newHTTPServer(h http.Handler, readHeader, idle time.Duration) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeader, IdleTimeout: idle}
+}
+
 // Serve starts an HTTP server for h on addr (":0" picks a free port)
 // and returns the bound address plus a closer. The server runs until
-// closed; serve errors after Close are discarded.
+// closed, with NewHTTPServer's connection timeouts; serve errors after
+// Close are discarded.
 func Serve(addr string, h http.Handler) (string, func() error, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: h}
+	srv := NewHTTPServer(h)
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), srv.Close, nil
 }

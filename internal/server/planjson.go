@@ -1,34 +1,18 @@
 package server
 
 import (
-	"prairie/internal/core"
 	"prairie/internal/volcano"
 	"prairie/internal/wire"
 )
 
 // The access-plan JSON codec lives in internal/wire so the cluster peer
-// protocol can share it without importing the server; these aliases
-// keep the server's public surface (and its callers) unchanged.
+// protocol can share it without importing the server. The server keeps
+// only what its callers need: PlanNode, the type of a response's plan,
+// and EncodePlan, which the repository benchmark (perfbench/) calls.
+// Decoding and the descriptor value types are wire's.
 
 // PlanNode is one node of a serialized access plan (see wire.PlanNode).
 type PlanNode = wire.PlanNode
 
-// PropValue is a kind-tagged descriptor value (see wire.PropValue).
-type PropValue = wire.PropValue
-
-// WireAttr is a (relation, attribute) pair (see wire.Attr).
-type WireAttr = wire.Attr
-
-// WireOrder serializes a tuple order (see wire.Order).
-type WireOrder = wire.Order
-
-// WirePred serializes a predicate tree (see wire.Pred).
-type WirePred = wire.Pred
-
 // EncodePlan serializes an access plan.
 func EncodePlan(p *volcano.PExpr) (*PlanNode, error) { return wire.EncodePlan(p) }
-
-// DecodePlan rebuilds a core operator tree from a serialized plan using
-// the world's algebra (algorithm names and property kinds). The result
-// is an access plan the exec compiler accepts.
-func DecodePlan(alg *core.Algebra, n *PlanNode) (*core.Expr, error) { return wire.DecodePlan(alg, n) }

@@ -654,22 +654,45 @@ func (s *Server) timeout(ms int64) time.Duration {
 	return d
 }
 
-// optimizeOne runs one prepared request on a fresh optimizer (the
-// optimizer is single-use; the rule set, cache and observer are the
-// shared state).
-func (s *Server) optimizeOne(ctx context.Context, world *World, req OptimizeRequest, rec *obs.RequestRecord) (*OptimizeResponse, int, error) {
+// job is one optimize request resolved against the server: its world,
+// budget class, tier and prepared query. /v1/optimize and every
+// /v1/batch item are answered by the same two steps, resolve and run.
+type job struct {
+	req    OptimizeRequest
+	world  *World
+	budget volcano.Budget
+	tier   volcano.TierMode
+	query  *volcano.Query
+}
+
+// resolve checks a request against the registry and the budget classes
+// and prepares its query; an error comes with the status it answers.
+func (s *Server) resolve(req OptimizeRequest) (job, int, error) {
+	world, ok := s.cfg.Registry.Lookup(req.Ruleset)
+	if !ok {
+		return job{}, http.StatusNotFound, fmt.Errorf("unknown ruleset %q", req.Ruleset)
+	}
 	budget, ok := s.budgets[budgetName(req.Budget)]
 	if !ok {
-		return nil, http.StatusBadRequest, fmt.Errorf("unknown budget class %q", req.Budget)
+		return job{}, http.StatusBadRequest, fmt.Errorf("unknown budget class %q", req.Budget)
 	}
 	tier, err := volcano.ParseTier(req.Tier)
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return job{}, http.StatusBadRequest, err
 	}
 	query, err := world.prepare(req.Query)
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return job{}, http.StatusBadRequest, err
 	}
+	return job{req: req, world: world, budget: budget, tier: tier, query: query}, 0, nil
+}
+
+// run answers a resolved request on a fresh optimizer (the optimizer is
+// single-use; the rule set, cache and observer are the shared state):
+// the search under the request's deadline, the response with its plan
+// rendered, and the plan's execution when the request asks for it.
+func (s *Server) run(ctx context.Context, j *job, rec *obs.RequestRecord) (*OptimizeResponse, int, error) {
+	world, req := j.world, j.req
 	if rec != nil {
 		rec.SetRequestInfo(world.Name, req.Query.String(), budgetName(req.Budget))
 	}
@@ -677,10 +700,10 @@ func (s *Server) optimizeOne(ctx context.Context, world *World, req OptimizeRequ
 	defer cancel()
 
 	opt := volcano.NewOptimizer(world.RS)
-	opt.Opts.Budget = budget
+	opt.Opts.Budget = j.budget
 	opt.Opts.Obs = s.cfg.Obs
 	opt.Opts.Cache = s.cache
-	opt.Opts.Tier = tier
+	opt.Opts.Tier = j.tier
 	opt.Opts.Router = s.router
 	opt.Opts.Remote = s.remote(world)
 	opt.Opts.Phases = rec.PhaseClock() // nil clock when unrecorded: timing off
@@ -691,7 +714,7 @@ func (s *Server) optimizeOne(ctx context.Context, world *World, req OptimizeRequ
 	// A hit lends out the cache entry's own plan: it is only read below
 	// (rendered once per entry into the entry's render slot, or executed
 	// through a fresh tree).
-	plan, err := opt.OptimizePrepared(ctx, query)
+	plan, err := opt.OptimizePrepared(ctx, j.query)
 	elapsed := time.Since(start)
 	s.hLatency.Observe(elapsed.Seconds())
 	if err != nil {
@@ -700,7 +723,7 @@ func (s *Server) optimizeOne(ctx context.Context, world *World, req OptimizeRequ
 		return nil, http.StatusUnprocessableEntity, err
 	}
 	if rec != nil {
-		s.recordOutcome(rec, tier, opt.Stats)
+		s.recordOutcome(rec, j.tier, opt.Stats)
 	}
 	resp := s.buildResponse(world, req.Query, opt.Stats, elapsed.Microseconds())
 	resp.rendered, err = wire.Render(opt.Rendering(), plan, plan.Cost(world.RS.Class), req.IncludePlan)
@@ -839,9 +862,8 @@ func (s *Server) executePlan(world *World, plan *volcano.PExpr, rec *obs.Request
 }
 
 // buildResponse renders one optimization outcome, short of its plan, as
-// its wire response; /v1/optimize and /v1/batch share it so the
-// degradation and tier surfaces stay consistent, and the per-outcome
-// server metrics (degraded, cache hits) are counted exactly once here.
+// its wire response, and counts the per-outcome server metrics
+// (degraded, cache hits) exactly once.
 func (s *Server) buildResponse(world *World, q QuerySpec, st *volcano.Stats, elapsedUS int64) *OptimizeResponse {
 	tier := st.Tier
 	if tier == "" {
@@ -918,18 +940,17 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	world, ok := s.cfg.Registry.Lookup(req.Ruleset)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("unknown ruleset %q", req.Ruleset)})
-		return
-	}
 	rec := s.record(w, r, "/v1/optimize")
 	release, ok := s.begin(w, r, rec)
 	if !ok {
 		return
 	}
 	defer release()
-	resp, code, err := s.optimizeOne(r.Context(), world, req, rec)
+	j, code, err := s.resolve(req)
+	var resp *OptimizeResponse
+	if err == nil {
+		resp, code, err = s.run(r.Context(), &j, rec)
+	}
 	if err != nil {
 		s.mErrors.Inc()
 		writeJSON(w, code, errorBody{Error: err.Error()})
@@ -948,8 +969,8 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 }
 
 // BatchRequest is the wire request of /v1/batch: many optimize items
-// answered as one admission unit, fanned over the engine's parallel
-// batch API.
+// taken as one admission unit, each answered as /v1/optimize answers it,
+// at most Workers at a time.
 type BatchRequest struct {
 	Items   []OptimizeRequest `json:"items"`
 	Workers int               `json:"workers,omitempty"`
@@ -989,44 +1010,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if workers <= 0 || workers > s.cfg.maxBatchWorkers() {
 		workers = s.cfg.maxBatchWorkers()
 	}
-	// Prepare every item before taking a slot: a malformed item fails
+	// Resolve every item before taking a slot: a malformed item fails
 	// the whole batch up front (cheap), matching the all-or-nothing
 	// admission decision.
-	items := make([]volcano.BatchItem, len(req.Items))
-	worlds := make([]*World, len(req.Items))
+	jobs := make([]job, len(req.Items))
 	for i, it := range req.Items {
-		world, ok := s.cfg.Registry.Lookup(it.Ruleset)
-		if !ok {
-			writeJSON(w, http.StatusNotFound,
-				errorBody{Error: fmt.Sprintf("item %d: unknown ruleset %q", i, it.Ruleset)})
-			return
-		}
-		budget, ok := s.budgets[budgetName(it.Budget)]
-		if !ok {
-			writeJSON(w, http.StatusBadRequest,
-				errorBody{Error: fmt.Sprintf("item %d: unknown budget class %q", i, it.Budget)})
-			return
-		}
-		tier, err := volcano.ParseTier(it.Tier)
+		j, code, err := s.resolve(it)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest,
-				errorBody{Error: fmt.Sprintf("item %d: %v", i, err)})
+			writeJSON(w, code, errorBody{Error: fmt.Sprintf("item %d: %v", i, err)})
 			return
 		}
-		tree, want, err := world.Build(it.Query)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest,
-				errorBody{Error: fmt.Sprintf("item %d: %v", i, err)})
-			return
-		}
-		worlds[i] = world
-		items[i] = volcano.BatchItem{
-			RS:      world.RS,
-			Tree:    tree,
-			Req:     want,
-			Opts:    volcano.Options{Budget: budget, Tier: tier, Remote: s.remote(world)},
-			Timeout: s.timeout(it.TimeoutMS),
-		}
+		jobs[i] = j
 	}
 	rec := s.record(w, r, "/v1/batch")
 	rec.SetRequestInfo("", fmt.Sprintf("batch[%d]", len(req.Items)), "")
@@ -1037,36 +1031,28 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	start := time.Now()
-	results, _ := volcano.OptimizeBatchOpts(r.Context(), items, volcano.BatchOptions{
-		Workers: workers,
-		Obs:     s.cfg.Obs,
-		Cache:   s.cache,
-		Router:  s.router,
-	})
-	resp := BatchResponse{
-		Results: make([]BatchItemResponse, len(results)),
-		WallUS:  time.Since(start).Microseconds(),
-		Workers: workers,
+	resp := BatchResponse{Results: make([]BatchItemResponse, len(jobs)), Workers: workers}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(workers, len(jobs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(jobs)); i = next.Add(1) - 1 {
+				resp.Results[i] = s.runItem(r.Context(), &jobs[i])
+			}
+		}()
 	}
-	for i, res := range results {
-		if res.Err != nil {
+	wg.Wait()
+	resp.WallUS = time.Since(start).Microseconds()
+	for _, it := range resp.Results {
+		switch {
+		case it.Error != "":
 			s.mErrors.Inc()
 			resp.Errors++
-			resp.Results[i] = BatchItemResponse{Error: res.Err.Error()}
-			continue
-		}
-		item := s.buildResponse(worlds[i], req.Items[i].Query, res.Stats, res.Elapsed.Microseconds())
-		item.PlanText = res.Plan.String()
-		item.Cost = res.Plan.Cost(worlds[i].RS.Class)
-		if item.Degraded {
+		case it.Degraded:
 			resp.Degraded++
 		}
-		if req.Items[i].IncludePlan {
-			if pn, err := EncodePlan(res.Plan); err == nil {
-				item.Plan = pn
-			}
-		}
-		resp.Results[i] = BatchItemResponse{OptimizeResponse: item}
 	}
 	writeResponse(w, http.StatusOK, &resp)
 	outcome := "ok"
@@ -1074,6 +1060,25 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		outcome = "degraded"
 	}
 	s.finish(rec, http.StatusOK, outcome, "")
+}
+
+// runItem answers one batch item through run. It recovers its own
+// panic into an item error: guard does not see a worker goroutine's.
+func (s *Server) runItem(ctx context.Context, j *job) (out BatchItemResponse) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.mPanics.Inc()
+			out = BatchItemResponse{Error: fmt.Sprintf("internal panic: %v", p)}
+		}
+	}()
+	if err := ctx.Err(); err != nil {
+		return BatchItemResponse{Error: err.Error()}
+	}
+	resp, _, err := s.run(ctx, j, nil)
+	if err != nil {
+		return BatchItemResponse{Error: err.Error()}
+	}
+	return BatchItemResponse{OptimizeResponse: resp}
 }
 
 // rulesetInfo describes one servable world on /v1/rulesets.

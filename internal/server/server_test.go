@@ -10,6 +10,7 @@ import (
 
 	"prairie/internal/core"
 	"prairie/internal/obs"
+	"prairie/internal/volcano"
 )
 
 // testServer stands up a service over the default worlds on a small
@@ -234,6 +235,89 @@ func TestBatch(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad item: status %d: %s", resp.StatusCode, body)
 	}
+}
+
+// postBatch answers a batch, failing the test on any non-200.
+func postBatch(t *testing.T, base string, req BatchRequest) BatchResponse {
+	t.Helper()
+	resp, body := postJSON(t, base+"/v1/batch", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d: %s", resp.StatusCode, body)
+	}
+	var br BatchResponse
+	if err := json.Unmarshal(body, &br); err != nil {
+		t.Fatal(err)
+	}
+	return br
+}
+
+// TestBatchSharesOptimizeCache: a batch item is a hit on the entry
+// /v1/optimize filled for the same query, whatever its timeout_ms — a
+// request timeout is a deadline, not part of the budget class that keys
+// the cache — so one query holds one entry.
+func TestBatchSharesOptimizeCache(t *testing.T) {
+	srv, hs := testServer(t, nil)
+	req := OptimizeRequest{Ruleset: "oodb/volcano", Query: QuerySpec{Family: "E1", N: 3}}
+	optimizeOK(t, hs.URL, req)
+	for _, ms := range []int64{0, 1234} {
+		req.TimeoutMS = ms
+		br := postBatch(t, hs.URL, BatchRequest{Items: []OptimizeRequest{req}})
+		if it := br.Results[0]; it.Error != "" || !it.CacheHit {
+			t.Errorf("timeout_ms=%d: batch item missed the optimize entry (error %q)", ms, it.Error)
+		}
+	}
+	if n := srv.Cache().Len(); n != 1 {
+		t.Errorf("cache holds %d entries for one query, want 1", n)
+	}
+}
+
+// TestBatchItemPanic: an item whose search panics answers with an item
+// error; the batch, its other items and the server carry on.
+func TestBatchItemPanic(t *testing.T) {
+	reg, err := DefaultRegistry(4, 101, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	real, _ := reg.Lookup("oodb/volcano")
+	boom := OODBVolcanoWorld(real.Cat, real.MaxN)
+	boom.Name = "boom"
+	for i, r := range boom.RS.Trans {
+		r := *r
+		r.Cond = func(*volcano.TBinding) bool { panic("synthetic rule failure") }
+		boom.RS.Trans[i] = &r
+	}
+	reg.Add(boom)
+	srv, err := New(Config{Registry: reg, Obs: &obs.Observer{Metrics: obs.NewRegistry()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	items := []OptimizeRequest{
+		{Ruleset: "oodb/volcano", Query: QuerySpec{Family: "E1", N: 3}},
+		{Ruleset: "boom", Query: QuerySpec{Family: "E1", N: 3}},
+		{Ruleset: "relational", Query: QuerySpec{Family: "E3", N: 3}},
+	}
+	br := postBatch(t, hs.URL, BatchRequest{Items: items, Workers: 2})
+	for i, it := range br.Results {
+		if i == 1 {
+			if it.OptimizeResponse != nil || !strings.Contains(it.Error, "synthetic rule failure") {
+				t.Errorf("panicking item: %+v, want the panic as its error", it)
+			}
+			continue
+		}
+		if it.Error != "" || it.PlanText == "" {
+			t.Errorf("item %d: error %q, plan %q", i, it.Error, it.PlanText)
+		}
+	}
+	if br.Errors != 1 {
+		t.Errorf("batch reports %d errors, want 1", br.Errors)
+	}
+	if got := srv.mPanics.Value(); got != 1 {
+		t.Errorf("panic counter = %d, want 1", got)
+	}
+	optimizeOK(t, hs.URL, items[2])
 }
 
 // TestRulesetsAndHealth: discovery and liveness endpoints.

@@ -22,24 +22,10 @@ type BatchItem struct {
 	Tree *core.Expr
 	Req  *core.Descriptor // nil: no requirement
 	Opts Options
-	// Timeout bounds each optimization of this item (0 = none). It is
-	// merged into Opts.Budget.Timeout (the tighter of the two wins), so
-	// hitting it yields a degraded plan, not an error — see Budget.
-	Timeout time.Duration
 	// Repeats re-optimizes the item this many times (minimum 1) on fresh
 	// memos, reporting the mean elapsed time — the paper's §4.3 protocol
 	// of timing a query by optimizing in a loop and dividing.
 	Repeats int
-}
-
-// options resolves the item's effective optimizer options, folding the
-// per-item Timeout into the budget.
-func (it BatchItem) options() Options {
-	opts := it.Opts
-	if it.Timeout > 0 && (opts.Budget.Timeout <= 0 || it.Timeout < opts.Budget.Timeout) {
-		opts.Budget.Timeout = it.Timeout
-	}
-	return opts
 }
 
 // BatchResult is the outcome of one BatchItem. On error, Stats describe
@@ -50,24 +36,6 @@ type BatchResult struct {
 	Stats   *Stats
 	Elapsed time.Duration // mean per optimization when Repeats > 1
 	Err     error
-}
-
-// OptimizeBatch optimizes independent queries concurrently on a worker
-// pool (workers <= 0 uses GOMAXPROCS). Results are positionally aligned
-// with items. Each worker runs a private Optimizer per item, so the only
-// shared state is the read-only RuleSet; the experiment sweeps use this
-// to spread a figure's (family, N, seed) grid across cores.
-func OptimizeBatch(items []BatchItem, workers int) []BatchResult {
-	return OptimizeBatchContext(context.Background(), items, workers)
-}
-
-// OptimizeBatchContext is OptimizeBatch under a batch-level context:
-// once ctx is cancelled, items not yet started fail fast with ctx's
-// error, and items in flight degrade per OptimizeContext. The call
-// always returns a fully-populated, positionally-aligned result slice.
-func OptimizeBatchContext(ctx context.Context, items []BatchItem, workers int) []BatchResult {
-	results, _ := OptimizeBatchOpts(ctx, items, BatchOptions{Workers: workers})
-	return results
 }
 
 // BatchOptions tunes a batch run beyond the per-item options.
@@ -81,15 +49,6 @@ type BatchOptions struct {
 	// inherit this one — with per-worker trace rows when a Tracer is
 	// attached.
 	Obs *obs.Observer
-	// Cache attaches a shared cross-query plan cache to every item that
-	// doesn't set its own Opts.Cache: repeated queries across the batch
-	// hit, and concurrent workers missing on the same fingerprint
-	// collapse into one search (singleflight).
-	Cache *PlanCache
-	// Router attaches a shared tier router to every item that doesn't
-	// set its own Opts.Router; items opting into TierAuto then share
-	// one routing table and refiner lifecycle (see tier.go).
-	Router *Router
 }
 
 // WorkerStats aggregates one pool worker's activity.
@@ -154,13 +113,15 @@ func (r *BatchReport) String() string {
 	return b.String()
 }
 
-// OptimizeBatchOpts is the fully-instrumented batch entry point: it
-// returns the positionally-aligned results plus a BatchReport of
-// per-worker utilization, queue waits, and aggregated statistics.
-func OptimizeBatchOpts(ctx context.Context, items []BatchItem, bo BatchOptions) ([]BatchResult, *BatchReport) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// OptimizeBatch optimizes independent queries concurrently on a worker
+// pool. Results are positionally aligned with items; the BatchReport
+// adds per-worker utilization, queue waits, and aggregated statistics.
+// Each worker runs a private Optimizer per item, so the only shared
+// state is what the items' Options share (rule sets, a plan cache); the
+// experiment sweeps use this to spread a figure's (family, N, seed) grid
+// across cores. Once ctx is cancelled, items not yet started fail fast
+// with ctx's error, and items in flight degrade per OptimizeContext.
+func OptimizeBatch(ctx context.Context, items []BatchItem, bo BatchOptions) ([]BatchResult, *BatchReport) {
 	workers := bo.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -209,12 +170,6 @@ func OptimizeBatchOpts(ctx context.Context, items []BatchItem, bo BatchOptions) 
 				if it.Opts.Obs == nil {
 					it.Opts.Obs = bo.Obs
 					it.Opts.TraceTID = tid
-				}
-				if it.Opts.Cache == nil {
-					it.Opts.Cache = bo.Cache
-				}
-				if it.Opts.Router == nil {
-					it.Opts.Router = bo.Router
 				}
 				results[i] = runBatchItem(ctx, it)
 				busy := time.Since(pickup)
@@ -282,11 +237,10 @@ func runBatchItem(ctx context.Context, it BatchItem) (res BatchResult) {
 			res.Elapsed = time.Since(start) / time.Duration(attempts)
 		}
 	}()
-	opts := it.options()
 	for r := 0; r < repeats; r++ {
 		attempts = r + 1
 		opt = NewOptimizer(it.RS)
-		opt.Opts = opts
+		opt.Opts = it.Opts
 		plan, err := opt.OptimizeContext(ctx, it.Tree.Clone(), it.Req)
 		if err != nil {
 			res = BatchResult{Stats: opt.Stats, Err: err}

@@ -11,6 +11,12 @@ import (
 	"prairie/internal/obs"
 )
 
+// runBatch runs items on a pool of workers under a background context.
+func runBatch(items []BatchItem, workers int) []BatchResult {
+	res, _ := OptimizeBatch(context.Background(), items, BatchOptions{Workers: workers})
+	return res
+}
+
 // boomWorld returns a test world whose extra transformation rule panics
 // in its condition hook after limit calls (limit < 0: never). Run under
 // -race in CI, these tests pin the batch-panic deadlock fix.
@@ -46,7 +52,7 @@ func TestBatchWorkerPanicNoDeadlock(t *testing.T) {
 		{RS: good.rs, Tree: good.chain(16, 8, 4)},
 	}
 	done := make(chan []BatchResult, 1)
-	go func() { done <- OptimizeBatch(items, 2) }()
+	go func() { done <- runBatch(items, 2) }()
 	var results []BatchResult
 	select {
 	case results = <-done:
@@ -79,12 +85,12 @@ func TestBatchPanicOnLaterRepeat(t *testing.T) {
 	// Probe: count condition calls in one clean optimization, then allow
 	// exactly that many — repeat 1 succeeds, repeat 2 panics immediately.
 	probe, calls := boomWorld(-1)
-	if res := OptimizeBatch([]BatchItem{{RS: probe.rs, Tree: probe.chain(8, 4, 2)}}, 1); res[0].Err != nil {
+	if res := runBatch([]BatchItem{{RS: probe.rs, Tree: probe.chain(8, 4, 2)}}, 1); res[0].Err != nil {
 		t.Fatalf("probe failed: %v", res[0].Err)
 	}
 	limit := *calls
 	w, _ := boomWorld(limit)
-	res := OptimizeBatch([]BatchItem{{RS: w.rs, Tree: w.chain(8, 4, 2), Repeats: 3}}, 1)[0]
+	res := runBatch([]BatchItem{{RS: w.rs, Tree: w.chain(8, 4, 2), Repeats: 3}}, 1)[0]
 	if res.Err == nil || !strings.Contains(res.Err.Error(), "panicked") {
 		t.Fatalf("Err = %v, want surfaced panic", res.Err)
 	}
@@ -102,7 +108,7 @@ func TestBatchPanicOnLaterRepeat(t *testing.T) {
 // statistics.
 func TestBatchErrorElapsedAndStats(t *testing.T) {
 	w := newTestWorld()
-	res := OptimizeBatch([]BatchItem{{
+	res := runBatch([]BatchItem{{
 		RS: w.rs, Tree: w.chain(16, 8, 4, 2),
 		Opts: Options{MaxExprs: 3}, Repeats: 2,
 	}}, 1)[0]
@@ -127,7 +133,8 @@ func TestBatchContextCancelled(t *testing.T) {
 		{RS: w.rs, Tree: w.chain(4, 2)},
 		{RS: w.rs, Tree: w.chain(8, 4)},
 	}
-	for i, r := range OptimizeBatchContext(ctx, items, 2) {
+	res, _ := OptimizeBatch(ctx, items, BatchOptions{Workers: 2})
+	for i, r := range res {
 		if !errors.Is(r.Err, context.Canceled) {
 			t.Errorf("item %d: Err = %v, want context.Canceled", i, r.Err)
 		}
@@ -148,7 +155,7 @@ func TestBatchConcurrentObservability(t *testing.T) {
 		items[i] = BatchItem{RS: w.rs, Tree: w.chain(8, 4, 2)}
 	}
 	ob := &obs.Observer{Metrics: obs.NewRegistry(), Tracer: obs.NewTracer(), RuleTiming: true}
-	results, report := OptimizeBatchOpts(context.Background(), items, BatchOptions{Workers: 4, Obs: ob})
+	results, report := OptimizeBatch(context.Background(), items, BatchOptions{Workers: 4, Obs: ob})
 
 	var wantExprs int
 	for i, r := range results {
@@ -191,12 +198,12 @@ func TestBatchConcurrentObservability(t *testing.T) {
 	}
 }
 
-// TestBatchPerItemTimeout: an item's Timeout becomes a per-optimization
-// budget, so the item degrades instead of erroring.
+// TestBatchPerItemTimeout: an item's own budget deadline bounds each of
+// its optimizations, so the item degrades instead of erroring.
 func TestBatchPerItemTimeout(t *testing.T) {
 	w := newTestWorld()
-	res := OptimizeBatch([]BatchItem{{
-		RS: w.rs, Tree: w.chain(16, 8, 4, 2), Timeout: time.Nanosecond,
+	res := runBatch([]BatchItem{{
+		RS: w.rs, Tree: w.chain(16, 8, 4, 2), Opts: Options{Budget: Budget{Timeout: time.Nanosecond}},
 	}}, 1)[0]
 	if res.Err != nil {
 		t.Fatalf("timed-out item errored instead of degrading: %v", res.Err)

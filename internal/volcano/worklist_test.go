@@ -98,7 +98,7 @@ func TestOptimizeBatch(t *testing.T) {
 	for i, c := range cards {
 		items[i] = BatchItem{RS: w.rs, Tree: w.chain(c...), Repeats: 2}
 	}
-	results := OptimizeBatch(items, 4)
+	results := runBatch(items, 4)
 	if len(results) != len(items) {
 		t.Fatalf("got %d results, want %d", len(results), len(items))
 	}
@@ -146,11 +146,11 @@ func TestOptimizeBatchSharedRuleSetIndex(t *testing.T) {
 
 // TestOptimizeBatchEmpty covers the zero-item and zero-worker edges.
 func TestOptimizeBatchEmpty(t *testing.T) {
-	if got := OptimizeBatch(nil, 0); len(got) != 0 {
+	if got := runBatch(nil, 0); len(got) != 0 {
 		t.Fatalf("got %d results for empty batch", len(got))
 	}
 	w := newTestWorld()
-	res := OptimizeBatch([]BatchItem{{RS: w.rs, Tree: w.chain(4, 2)}}, 0)
+	res := runBatch([]BatchItem{{RS: w.rs, Tree: w.chain(4, 2)}}, 0)
 	if len(res) != 1 || res[0].Err != nil {
 		t.Fatalf("unexpected result %+v", res)
 	}
@@ -163,7 +163,7 @@ func TestBatchPropagatesErrors(t *testing.T) {
 		{RS: w.rs, Tree: w.chain(4, 2)},
 		{RS: w.rs, Tree: w.chain(16, 8, 4, 2), Opts: Options{MaxExprs: 3}},
 	}
-	res := OptimizeBatch(items, 2)
+	res := runBatch(items, 2)
 	if res[0].Err != nil {
 		t.Errorf("item 0: %v", res[0].Err)
 	}

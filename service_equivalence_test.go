@@ -3,6 +3,7 @@ package prairie_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,6 +16,7 @@ import (
 	"prairie/internal/oodb"
 	"prairie/internal/qgen"
 	"prairie/internal/server"
+	"prairie/internal/wire"
 )
 
 // This file extends the differential harness of equivalence_test.go to
@@ -54,7 +56,7 @@ func runWirePlan(t *testing.T, w *server.World, db *data.DB, or server.OptimizeR
 	if or.Plan == nil {
 		t.Fatalf("%s %s: response carries no plan tree", w.Name, or.Query)
 	}
-	tree, err := server.DecodePlan(w.RS.Algebra, or.Plan)
+	tree, err := wire.DecodePlan(w.RS.Algebra, or.Plan)
 	if err != nil {
 		t.Fatalf("%s %s: decode plan: %v", w.Name, or.Query, err)
 	}
@@ -133,18 +135,20 @@ func TestServiceDifferential(t *testing.T) {
 	t.Run("hit-bytes", testServiceHitBytes)
 }
 
-// planMirror and responseMirror are server.PlanNode and
+// planMirror and ResponseMirror are server.PlanNode and
 // server.OptimizeResponse without their MarshalJSON methods: what
 // encoding/json writes for them by reflection is the reference the
-// service's JSON appender must match byte for byte.
+// service's JSON appender must match byte for byte. ResponseMirror is
+// exported because itemMirror embeds a pointer to it, which
+// encoding/json cannot fill for an unexported type.
 type planMirror struct {
-	Op    string                      `json:"op,omitempty"`
-	File  string                      `json:"file,omitempty"`
-	Props map[string]server.PropValue `json:"props,omitempty"`
-	Kids  []*planMirror               `json:"kids,omitempty"`
+	Op    string                    `json:"op,omitempty"`
+	File  string                    `json:"file,omitempty"`
+	Props map[string]wire.PropValue `json:"props,omitempty"`
+	Kids  []*planMirror             `json:"kids,omitempty"`
 }
 
-type responseMirror struct {
+type ResponseMirror struct {
 	Ruleset      string              `json:"ruleset"`
 	Query        server.QuerySpec    `json:"query"`
 	PlanText     string              `json:"plan_text"`
@@ -165,20 +169,40 @@ type responseMirror struct {
 	RequestID    string              `json:"request_id,omitempty"`
 }
 
+// itemMirror and batchMirror are server.BatchItemResponse and
+// server.BatchResponse without their JSON appender. A nil embedded
+// pointer writes no members, as an error item's missing response does.
+type itemMirror struct {
+	*ResponseMirror
+	Error string `json:"error,omitempty"`
+}
+
+type batchMirror struct {
+	Results  []itemMirror `json:"results"`
+	WallUS   int64        `json:"wall_us"`
+	Workers  int          `json:"workers"`
+	Errors   int          `json:"errors"`
+	Degraded int          `json:"degraded"`
+}
+
 // lookupFields matches the response members that describe how the plan
-// was found rather than the plan: timing, the hit flag, and the search
-// counters (a hit reports the cold run's memo shape but fires no rules).
+// was found rather than the plan: timing (the search's and the
+// execution's), the hit flag, and the search counters (a hit reports the
+// cold run's memo shape but fires no rules).
 var lookupFields = regexp.MustCompile(`"(elapsed_us|cache_hit|stats|request_id)":(\d+|true|false|"[^"]*"|\{[^}]*\})`)
 
 // testServiceHitBytes: for served queries on all four worlds under
-// tier=full|auto|greedy, with include_plan on and off in both orders,
-// the bytes of a hit — served from its cache entry's pre-rendered plan
-// — equal those of the miss that filled the entry, once the lookup
-// fields are masked; and every response is exactly what encoding/json
-// writes for the same values. Under tier=auto the miss answers with the
-// greedy plan while a background refinement may swap in the full one,
-// so there the hits are compared with each other, and with the miss
-// only when no refinement landed.
+// tier=full|auto|greedy, with include_plan on and off in both orders and
+// execute on and off, the bytes of a hit — served from its cache entry's
+// pre-rendered plan — equal those of the miss that filled the entry,
+// once the lookup fields are masked; every response is exactly what
+// encoding/json writes for the same values; and /v1/batch answers each
+// request, as a one-item batch on a twin server that has seen the same
+// requests, with the members of the /v1/optimize response (an error
+// included: the DSL world has no data to execute on). Under tier=auto
+// the miss answers with the greedy plan while a background refinement
+// may swap in the full one, so there the hits are compared with each
+// other, and with the miss only when no refinement landed.
 func testServiceHitBytes(t *testing.T) {
 	src, err := os.ReadFile("examples/dslrules/rules.prairie")
 	if err != nil {
@@ -188,30 +212,57 @@ func testServiceHitBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(server.Config{Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := srv.Handler()
-	post := func(req server.OptimizeRequest) string {
-		body, _ := json.Marshal(req)
-		rr := httptest.NewRecorder()
-		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/optimize", bytes.NewReader(body)))
-		if rr.Code != http.StatusOK {
-			t.Fatalf("%s %s: status %d: %s", req.Ruleset, req.Query, rr.Code, rr.Body.String())
-		}
-		var m responseMirror
-		if err := json.Unmarshal(rr.Body.Bytes(), &m); err != nil {
+	// One server answers /v1/optimize, its twin the same requests as
+	// batches: a separate cache and router each, so both see the same
+	// history.
+	var srvs [2]*server.Server
+	for i := range srvs {
+		if srvs[i], err = server.New(server.Config{Registry: reg}); err != nil {
 			t.Fatal(err)
 		}
-		ref, _ := json.Marshal(m)
-		if got := rr.Body.String(); got != string(ref)+"\n" {
-			t.Fatalf("%s %s: response differs from encoding/json\n got %s\nwant %s", req.Ruleset, req.Query, got, ref)
-		}
+	}
+	serve := func(srv *server.Server, path string, v any) (int, []byte) {
+		body, _ := json.Marshal(v)
+		rr := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 		srv.Router().Wait()
-		return rr.Body.String()
+		return rr.Code, rr.Body.Bytes()
+	}
+	// sameAsJSON fails unless got is what encoding/json writes for the
+	// value it decodes to in mirror.
+	sameAsJSON := func(what string, got []byte, mirror any) {
+		if err := json.Unmarshal(got, mirror); err != nil {
+			t.Fatal(err)
+		}
+		ref, _ := json.Marshal(mirror)
+		if string(got) != string(ref)+"\n" {
+			t.Fatalf("%s: response differs from encoding/json\n got %s\nwant %s", what, got, ref)
+		}
 	}
 	masked := func(b string) string { return lookupFields.ReplaceAllString(b, "") }
+	post := func(req server.OptimizeRequest, wantOK bool) string {
+		what := fmt.Sprintf("%s %s tier=%s include_plan=%v execute=%v", req.Ruleset, req.Query, req.Tier, req.IncludePlan, req.Execute)
+		code, body := serve(srvs[0], "/v1/optimize", req)
+		if (code == http.StatusOK) != wantOK {
+			t.Fatalf("%s: status %d: %s", what, code, body)
+		}
+		if wantOK {
+			sameAsJSON(what, body, &ResponseMirror{})
+		}
+		code, batch := serve(srvs[1], "/v1/batch", server.BatchRequest{Items: []server.OptimizeRequest{req}})
+		if code != http.StatusOK {
+			t.Fatalf("%s: batch status %d: %s", what, code, batch)
+		}
+		sameAsJSON(what+" (batch)", batch, &batchMirror{})
+		var items struct{ Results []json.RawMessage }
+		if err := json.Unmarshal(batch, &items); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := masked(string(items.Results[0])), masked(strings.TrimSuffix(string(body), "\n")); got != want {
+			t.Fatalf("%s: batch item differs from the optimize response\n got %s\nwant %s", what, got, want)
+		}
+		return string(body)
+	}
 	queries := map[string][]server.QuerySpec{
 		"oodb/prairie": {{Family: "E1", N: 3}, {Family: "E2", N: 3, Graph: "star"}, {Family: "E3", N: 3}, {Family: "E4", N: 2}},
 		"oodb/volcano": {{Family: "E1", N: 4, Graph: "star"}, {Family: "E2", N: 3}, {Family: "E3", N: 3}, {Family: "E4", N: 3}},
@@ -219,40 +270,56 @@ func testServiceHitBytes(t *testing.T) {
 		"dsl":          {{Family: "E1", N: 3}, {Family: "E1", N: 4}},
 	}
 	for _, name := range reg.Names() {
+		w, _ := reg.Lookup(name)
 		for _, q := range queries[name] {
 			for _, tier := range []string{"full", "auto", "greedy"} {
-				req := func(include bool) server.OptimizeRequest {
-					return server.OptimizeRequest{Ruleset: name, Query: q, Tier: tier, IncludePlan: include}
-				}
-				srv.Cache().Invalidate()
-				missOff := post(req(false))
-				hitsOn := []string{post(req(true))} // extends the rendering with the plan
-				hitsOff := []string{post(req(false))}
-				hitsOn = append(hitsOn, post(req(true)))
-				srv.Cache().Invalidate()
-				missOn := post(req(true))
-				hitsOff = append(hitsOff, post(req(false)))
-				hitsOn = append(hitsOn, post(req(true)))
-				if strings.Contains(missOff, `"cache_hit":true`) || strings.Contains(missOn, `"cache_hit":true`) {
-					t.Fatalf("%s %s tier=%s: first request after an invalidation hit the cache", name, q, tier)
-				}
-				for _, hit := range append(append([]string(nil), hitsOn...), hitsOff...) {
-					if !strings.Contains(hit, `"cache_hit":true`) {
-						t.Fatalf("%s %s tier=%s: repeat request missed the cache: %s", name, q, tier, hit)
+				for _, execute := range []bool{false, true} {
+					req := func(include bool) server.OptimizeRequest {
+						return server.OptimizeRequest{Ruleset: name, Query: q, Tier: tier, IncludePlan: include, Execute: execute}
 					}
-				}
-				wantOn, wantOff := missOn, missOff
-				if tier == "auto" && strings.Contains(hitsOn[0], `"refined":true`) {
-					wantOn, wantOff = hitsOn[0], hitsOff[0]
-				}
-				for _, hit := range hitsOn {
-					if masked(hit) != masked(wantOn) {
-						t.Errorf("%s %s tier=%s include_plan: hit bytes differ\n got %s\nwant %s", name, q, tier, hit, wantOn)
+					invalidate := func() {
+						for _, srv := range srvs {
+							srv.Cache().Invalidate()
+						}
 					}
-				}
-				for _, hit := range hitsOff {
-					if masked(hit) != masked(wantOff) {
-						t.Errorf("%s %s tier=%s: hit bytes differ\n got %s\nwant %s", name, q, tier, hit, wantOff)
+					if execute && w.Cat == nil {
+						// No catalog, no data: every answer is the same
+						// error, on both endpoints.
+						invalidate()
+						post(req(false), false)
+						post(req(true), false)
+						continue
+					}
+					invalidate()
+					missOff := post(req(false), true)
+					hitsOn := []string{post(req(true), true)} // extends the rendering with the plan
+					hitsOff := []string{post(req(false), true)}
+					hitsOn = append(hitsOn, post(req(true), true))
+					invalidate()
+					missOn := post(req(true), true)
+					hitsOff = append(hitsOff, post(req(false), true))
+					hitsOn = append(hitsOn, post(req(true), true))
+					if strings.Contains(missOff, `"cache_hit":true`) || strings.Contains(missOn, `"cache_hit":true`) {
+						t.Fatalf("%s %s tier=%s: first request after an invalidation hit the cache", name, q, tier)
+					}
+					for _, hit := range append(append([]string(nil), hitsOn...), hitsOff...) {
+						if !strings.Contains(hit, `"cache_hit":true`) {
+							t.Fatalf("%s %s tier=%s: repeat request missed the cache: %s", name, q, tier, hit)
+						}
+					}
+					wantOn, wantOff := missOn, missOff
+					if tier == "auto" && strings.Contains(hitsOn[0], `"refined":true`) {
+						wantOn, wantOff = hitsOn[0], hitsOff[0]
+					}
+					for _, hit := range hitsOn {
+						if masked(hit) != masked(wantOn) {
+							t.Errorf("%s %s tier=%s include_plan: hit bytes differ\n got %s\nwant %s", name, q, tier, hit, wantOn)
+						}
+					}
+					for _, hit := range hitsOff {
+						if masked(hit) != masked(wantOff) {
+							t.Errorf("%s %s tier=%s: hit bytes differ\n got %s\nwant %s", name, q, tier, hit, wantOff)
+						}
 					}
 				}
 			}
